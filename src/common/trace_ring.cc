@@ -18,21 +18,66 @@ uint64_t NowMicros() {
           .count());
 }
 
-/// Small process-wide thread ordinal: stable for the thread's lifetime
-/// and far more readable in a trace viewer than a pthread id.
-uint32_t ThisThreadOrdinal() {
-  static std::atomic<uint32_t> next{1};
-  thread_local uint32_t ordinal = next.fetch_add(1, std::memory_order_relaxed);
-  return ordinal;
-}
-
-thread_local uint64_t g_thread_query_id = 0;
-
 /// One-entry thread-local ring cache. Most threads talk to one recorder
 /// at a time (their database's); switching recorders falls back to the
 /// registry lookup under the recorder mutex.
 thread_local uint64_t g_cached_recorder_id = 0;
 thread_local void* g_cached_ring = nullptr;
+/// Set when the thread's ordinal has been returned (thread exit): from
+/// then on the thread records nothing, as its rings may have a new owner.
+thread_local bool g_ordinal_released = false;
+
+/// Small process-wide thread ordinal: stable for the thread's lifetime
+/// and far more readable in a trace viewer than a pthread id. Ordinals
+/// are recycled when their thread exits, so the next new thread takes
+/// over the dead thread's rings instead of registering fresh ones — a
+/// per-query producer thread must not leave a ring behind per query.
+/// The mutex hand-off orders the dead writer's ring stores before the
+/// new writer's.
+class ThreadOrdinal {
+ public:
+  ThreadOrdinal() {
+    Pool& pool = Shared();
+    std::lock_guard<std::mutex> lock(pool.mu);
+    if (pool.free.empty()) {
+      value_ = pool.next++;
+    } else {
+      value_ = pool.free.back();
+      pool.free.pop_back();
+    }
+  }
+  ~ThreadOrdinal() {
+    Pool& pool = Shared();
+    std::lock_guard<std::mutex> lock(pool.mu);
+    pool.free.push_back(value_);
+    g_ordinal_released = true;
+    g_cached_recorder_id = 0;
+    g_cached_ring = nullptr;
+  }
+  uint32_t value() const { return value_; }
+
+ private:
+  struct Pool {
+    std::mutex mu;
+    uint32_t next = 1;
+    std::vector<uint32_t> free;
+  };
+  /// Leaked, so threads exiting during static destruction still find it.
+  static Pool& Shared() {
+    static Pool* pool = new Pool;
+    return *pool;
+  }
+
+  uint32_t value_ = 0;
+};
+
+uint32_t ThisThreadOrdinal() {
+  thread_local ThreadOrdinal ordinal;
+  return ordinal.value();
+}
+
+thread_local uint64_t g_thread_query_id = 0;
+
 
 uint64_t NextRecorderId() {
   static std::atomic<uint64_t> next{1};
@@ -266,6 +311,7 @@ TraceRecorder::Ring* TraceRecorder::RingForThisThread() {
   if (g_cached_recorder_id == id_) {
     return static_cast<Ring*>(g_cached_ring);
   }
+  if (g_ordinal_released) return nullptr;
   uint32_t tid = ThisThreadOrdinal();
   std::lock_guard<std::mutex> lock(mu_);
   Ring* ring = nullptr;
@@ -300,6 +346,7 @@ void TraceRecorder::EmitAt(uint64_t ts_us, TraceEventType type, uint64_t arg,
 void TraceRecorder::Record(uint64_t ts_us, TraceEventType type, uint64_t arg,
                            uint64_t query_id) {
   Ring* ring = RingForThisThread();
+  if (ring == nullptr) return;
   uint64_t seq = ring->head.load(std::memory_order_relaxed);
   size_t base = (seq % ring->capacity) * kWordsPerEvent;
   if (seq >= ring->capacity) {

@@ -58,7 +58,9 @@ struct TraceEvent {
 /// word is atomic).
 ///
 /// Timestamps are steady-clock microseconds; thread ids are small
-/// process-wide ordinals (stable for the life of the thread); the query
+/// process-wide ordinals (stable for the life of the thread, recycled
+/// after it exits together with its rings, so short-lived threads do not
+/// grow the ring set); the query
 /// id is ambient per thread (TraceQueryScope), so deep subsystems
 /// (pool, WAL) attribute their events without plumbing.
 class TraceRecorder {
@@ -133,7 +135,9 @@ class TraceRecorder {
 
   static void SetThreadQueryId(uint64_t qid);
 
-  /// The calling thread's ring (created and registered on first use).
+  /// The calling thread's ring (created and registered on first use, or
+  /// inherited from an exited thread with the same ordinal); null once
+  /// the thread is exiting.
   Ring* RingForThisThread();
 
   void Record(uint64_t ts_us, TraceEventType type, uint64_t arg,

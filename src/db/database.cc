@@ -1018,6 +1018,8 @@ struct Database::SelectCursorContext {
   uint64_t query_id = 0;
   /// The stream's final status, for the disposition stamp.
   Status final_status = Status::OK();
+  /// Receives the finished trace (EXPLAIN ANALYZE); may be null.
+  QueryStats* stats_out = nullptr;
   std::optional<Materializer> mat;
   std::optional<SelectExecutor> exec;
   SelectPlan plan;
@@ -1040,30 +1042,28 @@ Result<std::unique_ptr<Cursor>> Database::Query(const std::string& mql) {
 
 Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
                                           const std::string* text,
-                                          double parse_us) {
+                                          double parse_us,
+                                          QueryStats* stats) {
   TCOB_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor,
-                        NewSelectCursor(stmt, text, parse_us));
+                        NewSelectCursor(stmt, text, parse_us, stats));
   ResultSet out;
   out.columns = cursor->columns();
+  out.message = cursor->message();
   std::vector<Value> row;
-  while (true) {
-    Result<bool> more = cursor->Next(&row);
-    if (!more.ok()) {
-      cursor->Close();
-      return more.status();
-    }
-    if (!more.value()) break;
+  for (;;) {
+    // The end of the stream (or its error) finalizes the trace.
+    TCOB_ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
+    if (!more) return out;
     out.rows.push_back(std::move(row));
   }
-  out.message = cursor->message();
-  cursor->Close();
-  return out;
 }
 
 Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
-    const SelectStmt& stmt, const std::string* text, double parse_us) {
+    const SelectStmt& stmt, const std::string* text, double parse_us,
+    QueryStats* stats) {
   TCOB_RETURN_NOT_OK(CheckReadable());
   auto ctx = std::make_shared<SelectCursorContext>();
+  ctx->stats_out = stats;
   // The cursor may outlive the caller's statement (Query returns before
   // the rows are pulled), so the context owns a deep copy.
   ctx->stmt = CloneSelect(stmt);
@@ -1093,9 +1093,9 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
   ctx->qctx = QueryContext::WithDeadline(options_.default_query_deadline_micros);
   ctx->query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
   ctx->qctx->set_query_id(ctx->query_id);
-  // The open path (admission, planning, and — for pipeline breakers —
-  // the whole execution) runs on this thread under the query's id; the
-  // producer thread and the finalize hook re-establish it themselves.
+  // The open path (admission, planning) runs on this thread under the
+  // query's id; the producer thread and the finalize hook re-establish
+  // it themselves.
   TraceQueryScope qscope(ctx->query_id);
   trace_rec_.Emit(TraceEventType::kQueryBegin);
   ctx->lease.emplace(&memory_budget_);
@@ -1119,20 +1119,6 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
   ctx->exec->set_context(ctx->qctx.get());
   ctx->exec->set_recorder(&trace_rec_);
 
-  if (!SelectExecutor::CanStream(ctx->stmt)) {
-    // Pipeline breakers (aggregates, ORDER BY) need every row before
-    // the first output row: execute materialized and wrap the result.
-    Result<ResultSet> out = ctx->exec->Execute(ctx->stmt);
-    ctx->final_status = out.status();
-    ctx->trace.rows_streamed = ctx->trace.rows;
-    ctx->trace.peak_buffered_rows = ctx->trace.rows;
-    ctx->trace.first_row_us = parse_us + ctx->total_timer.ElapsedUs();
-    FinalizeSelectTrace(ctx.get());
-    TCOB_RETURN_NOT_OK(out.status());
-    return std::unique_ptr<Cursor>(
-        new MaterializedCursor(std::move(out).value()));
-  }
-
   Result<SelectPlan> plan = ctx->exec->Plan(ctx->stmt);
   if (!plan.ok()) {
     ctx->final_status = plan.status();
@@ -1140,7 +1126,6 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
     return plan.status();
   }
   ctx->plan = std::move(plan).value();
-  ctx->trace.surface = "streaming";
   // The producer thread owns a share of the context; the finalize hook
   // runs back on this thread (Next/Close after the producer joined).
   auto producer = [ctx](RowSink* sink) -> Status {
@@ -1156,7 +1141,9 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
     ctx->final_status = status;  // sticky in the cursor; kept for the trace
     ctx->trace.rows = stats.rows_streamed;
     ctx->trace.rows_streamed = stats.rows_streamed;
-    ctx->trace.peak_buffered_rows = stats.peak_buffered_rows;
+    // The producer stamped what its stages held; the queue adds its own.
+    ctx->trace.peak_buffered_rows =
+        std::max(ctx->trace.peak_buffered_rows, stats.peak_buffered_rows);
     FinalizeSelectTrace(ctx.get());
   };
   StreamingCursor::Options copts;
@@ -1219,9 +1206,10 @@ void Database::FinalizeSelectTrace(SelectCursorContext* ctx) {
                     << " | plan: " << trace.plan << " | rows: " << trace.rows
                     << " | store accesses: " << trace.store.Total()
                     << " | disposition: " << trace.disposition
-                    << " | surface: " << trace.surface
                     << " | peak mem: " << trace.peak_memory_bytes << "B";
   }
+  if (ctx->stats_out != nullptr) *ctx->stats_out = trace;
+  std::lock_guard<std::mutex> lock(last_query_stats_mu_);
   last_query_stats_ = trace;
 }
 
@@ -1241,9 +1229,10 @@ Result<ResultSet> Database::ExecuteStatementImpl(const Statement& stmt,
           if (s.analyze) {
             // Execute the query under the trace, then return the trace
             // (not the rows) — the EXPLAIN ANALYZE contract.
-            TCOB_RETURN_NOT_OK(ExecuteSelect(s.select, text, parse_us)
-                                   .status());
-            return last_query_stats_.ToResultSet();
+            QueryStats stats;
+            TCOB_RETURN_NOT_OK(
+                ExecuteSelect(s.select, text, parse_us, &stats).status());
+            return stats.ToResultSet();
           }
           Materializer mat(&catalog_, store_.get(), links_.get(), query_pool_.get());
           const Timestamp explain_now =

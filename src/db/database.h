@@ -279,12 +279,13 @@ class Database {
   Result<ResultSet> Execute(const std::string& mql);
 
   /// Parses one MQL statement and opens a pull cursor over its result
-  /// (see cursor.h for the lifecycle contract). SELECTs without
-  /// aggregates/ORDER BY stream: a producer thread runs the executor
-  /// against a bounded queue, so the first row is available while the
-  /// rest are still being made and buffered memory stays flat no matter
-  /// the result size. Pipeline breakers and non-SELECT statements
-  /// execute eagerly and return a cursor over the finished result.
+  /// (see cursor.h for the lifecycle contract). A SELECT streams: a
+  /// producer thread runs the executor pipeline against a bounded queue,
+  /// so the first row is available while the rest are still being made.
+  /// Without aggregates or ORDER BY, buffered memory stays flat no
+  /// matter the result size; those stages hold their groups or the rows
+  /// to sort. Non-SELECT statements execute eagerly and return a cursor
+  /// over the finished result.
   /// Drain or Close the cursor before the next statement on this
   /// Database, and before destroying it.
   Result<std::unique_ptr<Cursor>> Query(const std::string& mql);
@@ -306,9 +307,14 @@ class Database {
   Result<ResultSet> Explain(const std::string& select_mql,
                             bool analyze = true);
 
-  /// The trace of the most recently executed SELECT (EXPLAIN ANALYZE's
-  /// source of truth; also filled by plain SELECTs).
-  const QueryStats& last_query_stats() const { return last_query_stats_; }
+  /// A copy of the trace of the most recently finished SELECT (plain
+  /// SELECTs and EXPLAIN ANALYZE alike). Safe to call from any thread;
+  /// with queries running concurrently, "most recent" is whichever
+  /// finished last — EXPLAIN ANALYZE reports its own query's trace.
+  QueryStats last_query_stats() const {
+    std::lock_guard<std::mutex> lock(last_query_stats_mu_);
+    return last_query_stats_;
+  }
 
   /// Point-in-time copy of every registered metric of this database:
   /// store/pool/disk/WAL counters, query counters and latency histogram,
@@ -492,26 +498,27 @@ class Database {
                                          double parse_us);
 
   /// Traced SELECT execution: opens a cursor via NewSelectCursor and
-  /// drains it — the materialized surface over the streaming engine.
+  /// drains it. `stats` (may be null) receives this query's trace.
   Result<ResultSet> ExecuteSelect(const SelectStmt& stmt,
-                                  const std::string* text, double parse_us);
+                                  const std::string* text, double parse_us,
+                                  QueryStats* stats = nullptr);
 
   /// Execution state of one SELECT cursor (the executor, its trace, the
   /// counter baselines); lives until the cursor is finalized.
   struct SelectCursorContext;
 
-  /// Opens a cursor over a SELECT: the streaming executor behind a
-  /// producer thread when the statement can stream, a cursor over the
-  /// eagerly-executed result otherwise. Either way the query trace is
-  /// finalized (counter deltas, metrics, slow-query log,
-  /// last_query_stats_) exactly once, when the cursor finishes.
+  /// Opens a cursor over a SELECT: the executor pipeline behind a
+  /// producer thread. The query trace is finalized (counter deltas,
+  /// metrics, slow-query log, last_query_stats_, `*stats` when non-null)
+  /// exactly once, when the cursor finishes.
   Result<std::unique_ptr<Cursor>> NewSelectCursor(const SelectStmt& stmt,
                                                   const std::string* text,
-                                                  double parse_us);
+                                                  double parse_us,
+                                                  QueryStats* stats = nullptr);
 
   /// Stamps the open->now counter deltas and total time into the trace,
-  /// updates the query metrics and slow-query log, and publishes the
-  /// trace as last_query_stats_.
+  /// updates the query metrics and slow-query log, hands the trace to
+  /// the query's stats_out, and publishes it as last_query_stats_.
   void FinalizeSelectTrace(SelectCursorContext* ctx);
 
   /// Applies one logical operation to the stores (DML path and replay).
@@ -616,7 +623,8 @@ class Database {
   ResourceBudget memory_budget_{options_.memory_budget_bytes};
   /// Admission gate; disabled when options_.max_inflight_queries == 0.
   AdmissionController admission_{options_.max_inflight_queries};
-  QueryStats last_query_stats_;
+  mutable std::mutex last_query_stats_mu_;
+  QueryStats last_query_stats_;  // guarded by last_query_stats_mu_
   Catalog catalog_;
   /// Declared before disk_: the manager holds a raw pointer into it.
   std::unique_ptr<PageJournal> journal_;

@@ -20,12 +20,11 @@ namespace tcob {
 /// Pull-based stream over one statement's result rows.
 ///
 /// Obtained from Database::Query (which is "Open"); the caller pulls
-/// rows with Next/NextBatch and releases the stream with Close. For
-/// streamable SELECTs the rows are produced while the caller consumes —
+/// rows with Next/NextBatch and releases the stream with Close. SELECT
+/// rows are produced while the caller consumes and arrive in exactly the
+/// order Database::Execute returns them. Without aggregates or ORDER BY,
 /// first-row latency and buffered memory are independent of the result
-/// size — and arrive in exactly the order the materialized API returns
-/// them. Aggregates and ORDER BY (pipeline breakers) yield a cursor over
-/// the pre-computed result instead.
+/// size.
 ///
 /// Lifecycle rules (single-threaded per Database, like every other
 /// call): drain or Close the cursor before executing the next statement
@@ -65,8 +64,8 @@ class Cursor {
   virtual const std::string& message() const = 0;
 };
 
-/// Cursor over an already-materialized ResultSet: DML/DDL results,
-/// aggregate and ORDER BY queries.
+/// Cursor over an already-finished ResultSet: the results of non-SELECT
+/// statements (DML/DDL messages, EXPLAIN tables). SELECTs always stream.
 class MaterializedCursor : public Cursor {
  public:
   explicit MaterializedCursor(ResultSet result)

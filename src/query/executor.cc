@@ -1,5 +1,8 @@
 #include "query/executor.h"
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "query/expr_eval.h"
@@ -96,125 +99,6 @@ Result<bool> SelectExecutor::EmitMolecule(const SelectStmt& stmt,
   return true;
 }
 
-namespace {
-
-/// The row indices of one aggregation group.
-using RowGroup = std::vector<size_t>;
-
-}  // namespace
-
-Result<ResultSet> SelectExecutor::FoldAggregates(
-    const SelectStmt& stmt, const std::vector<AttrRef>& projection,
-    bool windowed, const ResultSet& rows) const {
-  const size_t base = 1 + (windowed ? 2 : 0);
-  // Partition the hidden-projection rows into groups: one global group,
-  // or one per molecule root for GROUP BY ROOT.
-  std::map<AtomId, RowGroup> groups;
-  if (stmt.group_by_root) {
-    for (size_t i = 0; i < rows.rows.size(); ++i) {
-      groups[rows.rows[i][0].AsId()].push_back(i);
-    }
-  } else {
-    RowGroup& all = groups[kInvalidAtomId];
-    all.resize(rows.rows.size());
-    for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  }
-
-  ResultSet out;
-  if (stmt.group_by_root) out.columns.push_back("ROOT");
-  for (const AggSpec& agg : stmt.aggregates) {
-    out.columns.push_back(agg.ToString());
-  }
-  for (const auto& [root, group] : groups) {
-    std::vector<Value> result_row;
-    if (stmt.group_by_root) result_row.push_back(Value::Id(root));
-    TCOB_RETURN_NOT_OK(
-        FoldGroup(stmt, projection, base, rows, group, &result_row));
-    out.rows.push_back(std::move(result_row));
-  }
-  out.message = rows.message;
-  return out;
-}
-
-Status SelectExecutor::FoldGroup(const SelectStmt& stmt,
-                                 const std::vector<AttrRef>& projection,
-                                 size_t base, const ResultSet& rows,
-                                 const std::vector<size_t>& group,
-                                 std::vector<Value>* result_row) const {
-  for (const AggSpec& agg : stmt.aggregates) {
-    if (agg.fn == AggFn::kCount && agg.star) {
-      result_row->push_back(Value::Int(static_cast<int64_t>(group.size())));
-      continue;
-    }
-    // Locate the hidden projection column of this aggregate's attribute.
-    size_t column = base;
-    bool found = false;
-    for (size_t i = 0; i < projection.size(); ++i) {
-      if (projection[i].type_name == agg.ref.type_name &&
-          projection[i].attr_name == agg.ref.attr_name) {
-        column = base + i;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      return Status::Internal("aggregate column not projected: " +
-                              agg.ref.ToString());
-    }
-    int64_t count = 0;
-    double sum = 0;
-    bool numeric_ok = true;
-    std::optional<Value> best;  // MIN / MAX
-    for (size_t row_index : group) {
-      const auto& row = rows.rows[row_index];
-      const Value& v = row[column];
-      if (v.is_null()) continue;  // NULLs do not participate
-      ++count;
-      if (v.type() == AttrType::kInt || v.type() == AttrType::kDouble) {
-        sum += v.NumericValue();
-      } else {
-        numeric_ok = false;
-      }
-      if (!best.has_value()) {
-        best = v;
-      } else {
-        TCOB_ASSIGN_OR_RETURN(int cmp, v.Compare(*best));
-        if ((agg.fn == AggFn::kMin && cmp < 0) ||
-            (agg.fn == AggFn::kMax && cmp > 0)) {
-          best = v;
-        }
-      }
-    }
-    switch (agg.fn) {
-      case AggFn::kCount:
-        result_row->push_back(Value::Int(count));
-        break;
-      case AggFn::kSum:
-      case AggFn::kAvg: {
-        if (!numeric_ok) {
-          return Status::TypeError("SUM/AVG require a numeric attribute: " +
-                                   agg.ref.ToString());
-        }
-        if (count == 0) {
-          result_row->push_back(Value::Null(AttrType::kDouble));
-        } else if (agg.fn == AggFn::kSum) {
-          result_row->push_back(Value::Double(sum));
-        } else {
-          result_row->push_back(Value::Double(sum / count));
-        }
-        break;
-      }
-      case AggFn::kMin:
-      case AggFn::kMax:
-        result_row->push_back(best.has_value()
-                                  ? *best
-                                  : Value::Null(AttrType::kString));
-        break;
-    }
-  }
-  return Status::OK();
-}
-
 Result<MoleculeTypeDef> SelectExecutor::ResolveMoleculeType(
     const SelectStmt& stmt) const {
   if (stmt.inline_root.empty()) {
@@ -270,36 +154,156 @@ Result<ResultSet> SelectExecutor::Explain(const SelectStmt& stmt) const {
 
 namespace {
 
-/// Applies the ORDER BY clause: stable sort by the named column.
-Status ApplyOrderBy(const SelectStmt& stmt, ResultSet* out) {
-  if (stmt.order_by.empty()) return Status::OK();
-  size_t column = out->columns.size();
-  for (size_t i = 0; i < out->columns.size(); ++i) {
-    if (out->columns[i] == stmt.order_by) {
-      column = i;
-      break;
+/// Aggregate stage: folds the hidden-projection rows into one accumulator
+/// per (group, aggregate) and, once the input ends, emits one row per
+/// group in ascending root order — a single global group without GROUP
+/// BY ROOT, which yields its row even over no input.
+class AggregateStage : public RowSink {
+ public:
+  AggregateStage(const SelectStmt& stmt, const SelectPlan& plan,
+                 RowSink* next)
+      : stmt_(stmt), next_(next) {
+    // Hidden rows are ROOT [VALID_FROM VALID_TO] <projection...>.
+    const size_t base = 1 + (plan.windowed ? 2 : 0);
+    for (const AggSpec& agg : stmt.aggregates) {
+      auto ref = std::find_if(
+          plan.projection.begin(), plan.projection.end(),
+          [&](const AttrRef& r) {
+            return r.type_name == agg.ref.type_name &&
+                   r.attr_name == agg.ref.attr_name;
+          });
+      columns_.push_back(agg.star ? kCountStar
+                                  : base + (ref - plan.projection.begin()));
+    }
+    if (!stmt.group_by_root) {
+      groups_.try_emplace(kInvalidAtomId, columns_.size());
     }
   }
-  if (column == out->columns.size()) {
-    return Status::InvalidArgument(
-        "ORDER BY column must appear in the result: " + stmt.order_by);
-  }
-  Status sort_error = Status::OK();
-  std::stable_sort(out->rows.begin(), out->rows.end(),
-                   [&](const std::vector<Value>& a,
-                       const std::vector<Value>& b) {
-                     Result<int> cmp = a[column].Compare(b[column]);
-                     if (!cmp.ok()) {
-                       if (sort_error.ok()) sort_error = cmp.status();
-                       return false;
-                     }
-                     return stmt.order_desc ? cmp.value() > 0
-                                            : cmp.value() < 0;
-                   });
-  return sort_error;
-}
 
-/// Collects streamed rows into a ResultSet — the materialized surface.
+  Result<bool> Push(std::vector<Value> row) override {
+    const AtomId group = stmt_.group_by_root ? row[0].AsId() : kInvalidAtomId;
+    std::vector<Accumulator>& accs =
+        groups_.try_emplace(group, columns_.size()).first->second;
+    for (size_t a = 0; a < columns_.size(); ++a) {
+      Accumulator& acc = accs[a];
+      if (columns_[a] == kCountStar) {
+        ++acc.count;
+        continue;
+      }
+      const Value& v = row[columns_[a]];
+      if (v.is_null()) continue;  // NULLs do not participate
+      ++acc.count;
+      if (v.type() == AttrType::kInt || v.type() == AttrType::kDouble) {
+        acc.sum += v.NumericValue();
+      } else {
+        acc.numeric = false;
+      }
+      int cmp = 0;
+      if (acc.best.has_value()) {
+        TCOB_ASSIGN_OR_RETURN(cmp, v.Compare(*acc.best));
+      }
+      const AggFn fn = stmt_.aggregates[a].fn;
+      if (!acc.best.has_value() || (fn == AggFn::kMin && cmp < 0) ||
+          (fn == AggFn::kMax && cmp > 0)) {
+        acc.best = v;
+      }
+    }
+    return true;
+  }
+
+  /// Emits the groups downstream; stops early when the sink declines.
+  Status Finish() {
+    for (const auto& [root, accs] : groups_) {
+      std::vector<Value> row;
+      if (stmt_.group_by_root) row.push_back(Value::Id(root));
+      for (size_t a = 0; a < accs.size(); ++a) {
+        const AggSpec& agg = stmt_.aggregates[a];
+        const Accumulator& acc = accs[a];
+        if (agg.fn == AggFn::kCount) {
+          row.push_back(Value::Int(acc.count));
+        } else if (agg.fn == AggFn::kMin || agg.fn == AggFn::kMax) {
+          row.push_back(acc.best.value_or(Value::Null(AttrType::kString)));
+        } else if (!acc.numeric) {
+          return Status::TypeError("SUM/AVG require a numeric attribute: " +
+                                   agg.ref.ToString());
+        } else if (acc.count == 0) {
+          row.push_back(Value::Null(AttrType::kDouble));
+        } else {
+          row.push_back(Value::Double(
+              agg.fn == AggFn::kSum ? acc.sum : acc.sum / acc.count));
+        }
+      }
+      TCOB_ASSIGN_OR_RETURN(bool more, next_->Push(std::move(row)));
+      if (!more) break;
+    }
+    return Status::OK();
+  }
+
+  size_t groups() const { return groups_.size(); }
+
+ private:
+  static constexpr size_t kCountStar = static_cast<size_t>(-1);
+
+  struct Accumulator {
+    int64_t count = 0;  // rows (COUNT(*)) or non-NULL values
+    double sum = 0;
+    bool numeric = true;        // every non-NULL value was numeric
+    std::optional<Value> best;  // running MIN / MAX
+  };
+
+  const SelectStmt& stmt_;
+  RowSink* next_;
+  /// Per aggregate: its column in the hidden row, or kCountStar.
+  std::vector<size_t> columns_;
+  /// Keyed by root (kInvalidAtomId for the global group), so groups
+  /// leave in ascending root order.
+  std::map<AtomId, std::vector<Accumulator>> groups_;
+};
+
+/// Sort stage (ORDER BY): buffers every row, stable-sorts on the key
+/// column once the input ends, then pushes downstream until the sink
+/// declines.
+class SortStage : public RowSink {
+ public:
+  SortStage(size_t column, bool desc, RowSink* next)
+      : column_(column), desc_(desc), next_(next) {}
+
+  Result<bool> Push(std::vector<Value> row) override {
+    rows_.push_back(std::move(row));
+    return true;
+  }
+
+  Status Finish() {
+    Status sort_error = Status::OK();
+    std::stable_sort(rows_.begin(), rows_.end(),
+                     [&](const std::vector<Value>& a,
+                         const std::vector<Value>& b) {
+                       Result<int> cmp = a[column_].Compare(b[column_]);
+                       if (!cmp.ok()) {
+                         if (sort_error.ok()) sort_error = cmp.status();
+                         return false;
+                       }
+                       return desc_ ? cmp.value() > 0 : cmp.value() < 0;
+                     });
+    TCOB_RETURN_NOT_OK(sort_error);
+    for (std::vector<Value>& row : rows_) {
+      TCOB_ASSIGN_OR_RETURN(bool more, next_->Push(std::move(row)));
+      if (!more) break;
+    }
+    return Status::OK();
+  }
+
+  /// Rows held (unchanged by Finish, which moves out of the slots).
+  size_t rows() const { return rows_.size(); }
+
+ private:
+  const size_t column_;
+  const bool desc_;
+  RowSink* next_;
+  std::vector<std::vector<Value>> rows_;
+};
+
+/// Collects streamed rows into a ResultSet (Execute).
 class CollectingSink : public RowSink {
  public:
   explicit CollectingSink(ResultSet* out) : out_(out) {}
@@ -324,8 +328,12 @@ Result<SelectPlan> SelectExecutor::Plan(const SelectStmt& stmt) const {
   plan.windowed = stmt.mode != TemporalMode::kAsOf;
   plan.projection = stmt.projection;
   if (plan.aggregate) {
+    // Result: [ROOT] + one column per aggregate. The rows feeding the
+    // aggregate stage project the distinct aggregated attributes.
     plan.projection.clear();
+    if (stmt.group_by_root) plan.columns.push_back("ROOT");
     for (const AggSpec& agg : stmt.aggregates) {
+      plan.columns.push_back(agg.ToString());
       if (agg.star) continue;
       bool dup = false;
       for (const AttrRef& ref : plan.projection) {
@@ -334,20 +342,20 @@ Result<SelectPlan> SelectExecutor::Plan(const SelectStmt& stmt) const {
       }
       if (!dup) plan.projection.push_back(agg.ref);
     }
-  }
-
-  plan.columns.push_back("ROOT");
-  if (plan.windowed) {
-    plan.columns.push_back("VALID_FROM");
-    plan.columns.push_back("VALID_TO");
-  }
-  if (plan.select_all) {
-    plan.columns.push_back("ATOM");
-    plan.columns.push_back("TYPE");
-    plan.columns.push_back("ATTRS");
   } else {
-    for (const AttrRef& ref : plan.projection) {
-      plan.columns.push_back(ref.ToString());
+    plan.columns.push_back("ROOT");
+    if (plan.windowed) {
+      plan.columns.push_back("VALID_FROM");
+      plan.columns.push_back("VALID_TO");
+    }
+    if (plan.select_all) {
+      plan.columns.push_back("ATOM");
+      plan.columns.push_back("TYPE");
+      plan.columns.push_back("ATTRS");
+    } else {
+      for (const AttrRef& ref : plan.projection) {
+        plan.columns.push_back(ref.ToString());
+      }
     }
   }
 
@@ -369,6 +377,15 @@ Result<SelectPlan> SelectExecutor::Plan(const SelectStmt& stmt) const {
     if (trace_ != nullptr && trace_->plan.empty()) {
       trace_->plan = "seq scan of root versions, incremental history sweep";
     }
+  }
+  if (!stmt.order_by.empty()) {
+    auto key = std::find(plan.columns.begin(), plan.columns.end(),
+                         stmt.order_by);
+    if (key == plan.columns.end()) {
+      return Status::InvalidArgument(
+          "ORDER BY column must appear in the result: " + stmt.order_by);
+    }
+    plan.order_column = static_cast<size_t>(key - plan.columns.begin());
   }
   if (trace_ != nullptr) trace_->plan_us += plan_timer.ElapsedUs();
   return plan;
@@ -448,43 +465,14 @@ Status SelectExecutor::Run(const SelectStmt& stmt, const SelectPlan& plan,
 }
 
 Result<ResultSet> SelectExecutor::Execute(const SelectStmt& stmt) const {
-  StopwatchUs exec_timer;
+  TraceSpanScope span(rec_, TraceSpanId::kExecute);
   TCOB_ASSIGN_OR_RETURN(SelectPlan plan, Plan(stmt));
   ResultSet out;
   out.columns = plan.columns;
   out.message = plan.message;
   CollectingSink sink(&out);
-  {
-    TraceSpanScope span(rec_, TraceSpanId::kExecute);
-    TCOB_RETURN_NOT_OK(Run(stmt, plan, &sink));
-  }
-
-  if (plan.aggregate) {
-    TraceSpanScope span(rec_, TraceSpanId::kAggregate);
-    StopwatchUs agg_timer;
-    TCOB_ASSIGN_OR_RETURN(
-        out, FoldAggregates(stmt, plan.projection, plan.windowed, out));
-    if (trace_ != nullptr) trace_->aggregate_us += agg_timer.ElapsedUs();
-  }
-  StopwatchUs sort_timer;
-  if (!stmt.order_by.empty()) {
-    TraceSpanScope span(rec_, TraceSpanId::kSort);
-    TCOB_RETURN_NOT_OK(ApplyOrderBy(stmt, &out));
-  }
-  if (trace_ != nullptr) {
-    trace_->sort_us += sort_timer.ElapsedUs();
-    trace_->rows = out.rows.size();
-    trace_->execute_us = exec_timer.ElapsedUs();
-    trace_->temporal_mode = stmt.mode == TemporalMode::kAsOf
-                                ? "as-of"
-                                : (stmt.mode == TemporalMode::kWindow
-                                       ? "window"
-                                       : "history");
-    trace_->cache = materializer_->cache_stats();
-    trace_->worker_us = materializer_->last_worker_micros();
-    trace_->parallelism =
-        trace_->worker_us.empty() ? 1 : trace_->worker_us.size();
-  }
+  TCOB_RETURN_NOT_OK(ExecuteStreaming(stmt, plan, &sink));
+  if (trace_ != nullptr) trace_->rows = out.rows.size();
   return out;
 }
 
@@ -493,7 +481,28 @@ Status SelectExecutor::ExecuteStreaming(const SelectStmt& stmt,
                                         RowSink* sink) const {
   TraceSpanScope span(rec_, TraceSpanId::kStream);
   StopwatchUs exec_timer;
-  Status st = Run(stmt, plan, sink);
+  // emit -> [aggregate] -> [sort] -> sink, chained back to front.
+  std::optional<SortStage> sort;
+  std::optional<AggregateStage> aggregate;
+  RowSink* head = sink;
+  if (!stmt.order_by.empty()) {
+    head = &sort.emplace(plan.order_column, stmt.order_desc, head);
+  }
+  if (plan.aggregate) head = &aggregate.emplace(stmt, plan, head);
+
+  Status st = Run(stmt, plan, head);
+  if (st.ok() && aggregate.has_value()) {
+    TraceSpanScope stage_span(rec_, TraceSpanId::kAggregate);
+    StopwatchUs stage_timer;
+    st = aggregate->Finish();
+    if (trace_ != nullptr) trace_->aggregate_us += stage_timer.ElapsedUs();
+  }
+  if (st.ok() && sort.has_value()) {
+    TraceSpanScope stage_span(rec_, TraceSpanId::kSort);
+    StopwatchUs stage_timer;
+    st = sort->Finish();
+    if (trace_ != nullptr) trace_->sort_us += stage_timer.ElapsedUs();
+  }
   if (trace_ != nullptr) {
     // Plan() ran earlier (at cursor open); execute_us spans both halves.
     trace_->execute_us = trace_->plan_us + exec_timer.ElapsedUs();
@@ -506,6 +515,10 @@ Status SelectExecutor::ExecuteStreaming(const SelectStmt& stmt,
     trace_->worker_us = materializer_->last_worker_micros();
     trace_->parallelism =
         trace_->worker_us.empty() ? 1 : trace_->worker_us.size();
+    // The rows the stages held: one per group, or the whole sort input.
+    trace_->peak_buffered_rows =
+        std::max(aggregate.has_value() ? aggregate->groups() : 0,
+                 sort.has_value() ? sort->rows() : 0);
   }
   return st;
 }

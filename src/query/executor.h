@@ -17,8 +17,9 @@
 namespace tcob {
 
 /// Destination of streamed result rows. The executor produces rows one
-/// at a time into a sink; the materialized path collects them into a
-/// ResultSet, the cursor path hands them to a bounded queue.
+/// at a time into a sink: the aggregate and sort stages of the pipeline
+/// are sinks themselves, Execute collects the rows into a ResultSet, and
+/// the cursor path hands them to a bounded queue.
 class RowSink {
  public:
   virtual ~RowSink() = default;
@@ -43,8 +44,11 @@ struct SelectPlan {
   /// Effective projection: the explicit list, or the distinct attributes
   /// referenced by aggregates (their hidden projection).
   std::vector<AttrRef> projection;
-  /// Columns of the streamed rows (pre-aggregation shape).
+  /// Columns of the final result: ROOT (GROUP BY ROOT) and one per
+  /// aggregate for an aggregate query, the projected row shape otherwise.
   std::vector<std::string> columns;
+  /// Index into `columns` of the ORDER BY key (when there is one).
+  size_t order_column = 0;
   /// ResultSet message (the index-path note, when one is used).
   std::string message;
 };
@@ -65,11 +69,19 @@ struct SelectPlan {
 ///    constant states overlapping the window; the WHERE predicate is
 ///    evaluated per state.
 ///
-/// Two execution surfaces share one pipeline: Execute materializes the
-/// full ResultSet (and is the only path for aggregates and ORDER BY,
-/// which must see every row), while Plan + ExecuteStreaming push rows
-/// into a RowSink as they are produced — the cursor path, whose rows are
-/// byte-identical to Execute's for every streamable statement.
+/// Execution is one staged pipeline. The materializer operators produce
+/// molecule states, EmitMolecule turns each state into rows, and the rows
+/// flow through
+///
+///     emit -> [aggregate stage] -> [sort stage] -> the caller's RowSink
+///
+/// The aggregate stage (aggregates, GROUP BY ROOT) keeps one accumulator
+/// per (group, aggregate) and emits its groups in ascending root order
+/// once the input ends; the sort stage (ORDER BY) buffers the rows and
+/// stable-sorts them on the key. Both are pipeline breakers: each holds
+/// only what it must (the groups, the rows to sort) and pushes downstream
+/// after the last input row. Plan + ExecuteStreaming is the one way rows
+/// are made; Execute is the same pipeline collected into a ResultSet.
 class SelectExecutor {
  public:
   /// `indexes` may be null (no secondary-index access paths then).
@@ -80,22 +92,24 @@ class SelectExecutor {
         now_(now),
         indexes_(indexes) {}
 
+  /// Plan + ExecuteStreaming, collected into a ResultSet.
   Result<ResultSet> Execute(const SelectStmt& stmt) const;
 
-  /// True when the statement's rows can be streamed in production order:
-  /// no aggregates and no ORDER BY (both are pipeline breakers that need
-  /// the whole row set before the first output row).
+  /// True when the statement has no pipeline breaker (no aggregates, no
+  /// ORDER BY): its first row leaves the pipeline before the last input
+  /// row is made.
   static bool CanStream(const SelectStmt& stmt) {
     return stmt.aggregates.empty() && stmt.order_by.empty();
   }
 
-  /// Resolves types, plans root access and fixes the column shape —
-  /// everything that can fail or be reported before rows flow.
+  /// Resolves types, plans root access and fixes the final column shape
+  /// (checking the ORDER BY key against it) — everything that can fail or
+  /// be reported before rows flow.
   Result<SelectPlan> Plan(const SelectStmt& stmt) const;
 
-  /// Streams the rows of a streamable statement (CanStream) into `sink`,
-  /// in exactly the order Execute would return them. A sink that returns
-  /// false stops execution early with OK status.
+  /// Streams the statement's result rows into `sink`, in exactly the
+  /// order Execute returns them. A sink that returns false stops
+  /// execution early with OK status.
   Status ExecuteStreaming(const SelectStmt& stmt, const SelectPlan& plan,
                           RowSink* sink) const;
 
@@ -124,9 +138,9 @@ class SelectExecutor {
   void set_recorder(TraceRecorder* rec) { rec_ = rec; }
 
  private:
-  /// Shared pipeline of both surfaces: drives the materializer operators
-  /// and emits rows into `sink`. Fills the trace's plan/materialize/emit
-  /// spans and work counters.
+  /// Drives the materializer operators and emits rows into `sink` (the
+  /// head of the stage chain). Fills the trace's materialize/emit spans
+  /// and work counters.
   Status Run(const SelectStmt& stmt, const SelectPlan& plan,
              RowSink* sink) const;
 
@@ -135,20 +149,6 @@ class SelectExecutor {
   Result<bool> EmitMolecule(const SelectStmt& stmt, const SelectPlan& plan,
                             const Molecule& molecule,
                             const Interval* state_valid, RowSink* sink) const;
-
-  /// Folds the hidden-projection rows of an aggregate query into the
-  /// single result row.
-  Result<ResultSet> FoldAggregates(const SelectStmt& stmt,
-                                   const std::vector<AttrRef>& projection,
-                                   bool windowed,
-                                   const ResultSet& rows) const;
-
-  /// Folds one aggregation group (row indices into `rows`) into
-  /// `result_row`.
-  Status FoldGroup(const SelectStmt& stmt,
-                   const std::vector<AttrRef>& projection, size_t base,
-                   const ResultSet& rows, const std::vector<size_t>& group,
-                   std::vector<Value>* result_row) const;
 
   /// Renders "name=value, ..." for an atom's attributes.
   Result<std::string> RenderAttrs(const AtomVersion& v) const;

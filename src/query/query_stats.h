@@ -19,14 +19,19 @@ namespace tcob {
 /// Span model (nested, all wall-clock microseconds):
 ///   total_us
 ///   ├── parse_us        lexing + parsing the statement text
-///   └── execute_us      the executor pipeline (both surfaces)
-///       ├── plan_us         type resolution + root access planning
+///   └── execute_us      the executor pipeline
+///       ├── plan_us         type resolution, root access planning, the
+///       │                   result shape
 ///       ├── materialize_us  molecule/history construction (store side)
-///       ├── emit_us         row production from materialized states
-///       ├── aggregate_us    FoldAggregates
-///       └── sort_us         ApplyOrderBy
+///       ├── emit_us         row production from materialized states,
+///       │                   including the per-row work of the aggregate
+///       │                   stage (accumulate) and sort stage (buffer)
+///       ├── aggregate_us    aggregate stage finish: folding and emitting
+///       │                   the groups
+///       └── sort_us         sort stage finish: the sort and pushing the
+///                           sorted rows on
 /// first_row_us is a marker inside total_us: statement start to the
-/// first row reaching the consumer (cursor pull or Execute return).
+/// first row reaching the consumer.
 struct QueryStats {
   std::string statement;      // original MQL text (empty for AST entry)
   std::string plan;           // root access path description
@@ -36,10 +41,6 @@ struct QueryStats {
   /// How the query ended: "ok" | "cancelled" | "deadline-exceeded" |
   /// "error".
   std::string disposition = "ok";
-  /// Which execution surface produced the rows: "streaming" when a
-  /// cursor pulled them through the bounded queue, "materialized" when
-  /// the result was built eagerly (pipeline breakers, Execute).
-  std::string surface = "materialized";
 
   double parse_us = 0;
   double plan_us = 0;
@@ -49,9 +50,9 @@ struct QueryStats {
   double sort_us = 0;
   double execute_us = 0;
   double total_us = 0;
-  /// Statement start to first row available to the consumer. On the
-  /// streaming path this is flat in the result size; the materialized
-  /// path (aggregates, ORDER BY) pays the whole execution first.
+  /// Statement start to first row available to the consumer. Flat in
+  /// the result size unless a pipeline breaker (aggregate, ORDER BY)
+  /// must see every input row first.
   double first_row_us = 0;
 
   uint64_t molecules = 0;      // molecules materialized (as-of) or swept
@@ -59,8 +60,9 @@ struct QueryStats {
   uint64_t rows = 0;           // result rows produced
   uint64_t atoms_visited = 0;  // atom instances across all emitted states
   uint64_t rows_streamed = 0;  // rows handed to the consumer
-  /// High-water mark of rows buffered between producer and consumer
-  /// (streaming: the cursor queue's peak; materialized: the full result).
+  /// High-water mark of rows buffered: the larger of the cursor queue's
+  /// peak and the rows a pipeline stage held (an aggregate's groups, the
+  /// ORDER BY input).
   uint64_t peak_buffered_rows = 0;
 
   /// Store round-trips this query caused (counter delta).

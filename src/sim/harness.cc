@@ -668,6 +668,20 @@ std::optional<std::string> ExecQuery(Instance* inst, const SimSchema& schema,
     }
     ++inst->queries_compared;
   }
+  if (op.order_by >= 0) {
+    // Same rows as the model; ORDER BY must also have sorted on its key.
+    const std::string key = ProjRefName(schema, op.proj[op.order_by]);
+    const size_t column =
+        std::find(rs.columns.begin(), rs.columns.end(), key) -
+        rs.columns.begin();
+    for (size_t i = 1; i < rs.rows.size(); ++i) {
+      Result<int> cmp = rs.rows[i - 1][column].Compare(rs.rows[i][column]);
+      if (!cmp.ok() || (op.order_desc ? cmp.value() < 0 : cmp.value() > 0)) {
+        return "query `" + mql + "` not sorted on " + key + " at row " +
+               std::to_string(i);
+      }
+    }
+  }
 
   if (options.check_metrics) {
     const QueryStats& qs = inst->db->last_query_stats();

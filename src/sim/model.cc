@@ -1,6 +1,7 @@
 #include "sim/model.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace tcob::sim {
 
@@ -325,10 +326,21 @@ void SimModel::EmitRows(const SimOp& q, AtomId root,
     return;
   }
 
-  // Projection: bindings over projected + predicate types, existential
-  // predicate, rows deduped per state by the projected atoms' ids.
+  for (std::vector<Value>& values : ProjectBindings(q, q.proj, atoms)) {
+    std::string row = prefix();
+    for (const Value& v : values) AppendColumn(&row, v);
+    out->insert(std::move(row));
+  }
+}
+
+std::vector<std::vector<Value>> SimModel::ProjectBindings(
+    const SimOp& q, const std::vector<std::pair<uint32_t, uint32_t>>& proj,
+    const std::map<AtomId, const ModelVersion*>& atoms) const {
+  // Bindings over projected + predicate types, existential predicate,
+  // rows deduped per state by the projected atoms' ids.
+  std::vector<std::vector<Value>> out;
   std::vector<uint32_t> btypes;
-  for (const auto& [tp, ap] : q.proj) {
+  for (const auto& [tp, ap] : proj) {
     (void)ap;
     btypes.push_back(tp);
   }
@@ -342,7 +354,7 @@ void SimModel::EmitRows(const SimOp& q, AtomId root,
     for (const auto& [id, v] : atoms) {
       if (atoms_.at(id).type_pos == tp) domain.emplace_back(id, v);
     }
-    if (domain.empty()) return;  // unsatisfiable binding set
+    if (domain.empty()) return out;  // unsatisfiable binding set
     domains.push_back(std::move(domain));
   }
 
@@ -363,13 +375,13 @@ void SimModel::EmitRows(const SimOp& q, AtomId root,
     }
     if (ok) {
       std::vector<AtomId> fingerprint;
-      std::string row = prefix();
-      for (const auto& [tp, ap] : q.proj) {
+      std::vector<Value> values;
+      for (const auto& [tp, ap] : proj) {
         auto [id, v] = bound(tp);
         fingerprint.push_back(id);
-        AppendColumn(&row, v->attrs[ap]);
+        values.push_back(v->attrs[ap]);
       }
-      if (seen.insert(fingerprint).second) out->insert(std::move(row));
+      if (seen.insert(fingerprint).second) out.push_back(std::move(values));
     }
     // Advance the odometer.
     size_t d = 0;
@@ -378,12 +390,55 @@ void SimModel::EmitRows(const SimOp& q, AtomId root,
       odo[d] = 0;
     }
     if (d == odo.size()) break;
-    if (domains.empty()) break;
   }
-  if (domains.empty()) {
-    // No binding types (cannot happen for projections: proj is
-    // non-empty) — nothing to emit.
+  return out;
+}
+
+std::string SimModel::FoldAggregates(
+    const SimOp& q, const std::vector<std::vector<Value>>& rows) const {
+  // The executor folds the distinct aggregated attributes (its hidden
+  // projection, built in the same order); `rows` are projected on it.
+  std::vector<std::pair<uint32_t, uint32_t>> hidden = HiddenProjection(q);
+  std::string out;
+  for (size_t a = 0; a < q.aggs.size(); ++a) {
+    const size_t column =
+        std::find(hidden.begin(), hidden.end(), q.proj[a]) - hidden.begin();
+    int64_t count = 0;
+    double sum = 0;
+    std::optional<Value> best;
+    for (const std::vector<Value>& row : rows) {
+      const Value& v = row[column];
+      if (v.is_null()) continue;
+      ++count;
+      if (v.type() == AttrType::kInt || v.type() == AttrType::kDouble) {
+        sum += v.NumericValue();
+      }
+      int cmp = best.has_value() ? v.Compare(*best).value() : 0;
+      if (!best.has_value() || (q.aggs[a] == AggFn::kMin && cmp < 0) ||
+          (q.aggs[a] == AggFn::kMax && cmp > 0)) {
+        best = v;
+      }
+    }
+    Value result = Value::Null(AttrType::kString);
+    if (q.aggs[a] == AggFn::kMin || q.aggs[a] == AggFn::kMax) {
+      if (best.has_value()) result = *best;
+    } else if (count > 0) {
+      result = Value::Double(q.aggs[a] == AggFn::kSum ? sum : sum / count);
+    }
+    AppendColumn(&out, result);
   }
+  return out;
+}
+
+std::vector<std::pair<uint32_t, uint32_t>> SimModel::HiddenProjection(
+    const SimOp& q) {
+  std::vector<std::pair<uint32_t, uint32_t>> hidden;
+  for (const auto& ref : q.proj) {
+    if (std::find(hidden.begin(), hidden.end(), ref) == hidden.end()) {
+      hidden.push_back(ref);
+    }
+  }
+  return hidden;
 }
 
 // ---- query oracle -----------------------------------------------------
@@ -392,13 +447,19 @@ SimModel::QueryExpectation SimModel::ExpectedRows(const SimOp& q) const {
   const SimMoleculeTypeDef& mol = schema_->molecule_types[q.mol_pos];
   QueryExpectation out;
 
-  // Column headers (mirrors SelectExecutor::Execute).
+  // Column headers (mirrors SelectExecutor::Plan).
   bool windowed = q.qkind == SimQueryKind::kAllWindow ||
                   q.qkind == SimQueryKind::kAllHistory ||
                   q.qkind == SimQueryKind::kProjWindow;
-  if (q.qkind == SimQueryKind::kCountAsOf) {
+  const bool aggregate = q.qkind == SimQueryKind::kCountAsOf ||
+                         q.qkind == SimQueryKind::kAggAsOf;
+  if (aggregate) {
     if (q.group_by_root) out.columns.push_back("ROOT");
-    out.columns.push_back("COUNT(*)");
+    if (q.qkind == SimQueryKind::kCountAsOf) out.columns.push_back("COUNT(*)");
+    for (size_t a = 0; a < q.aggs.size(); ++a) {
+      out.columns.push_back(std::string(AggFnName(q.aggs[a])) + "(" +
+                            ProjRefName(*schema_, q.proj[a]) + ")");
+    }
   } else {
     out.columns.push_back("ROOT");
     if (windowed) {
@@ -412,9 +473,8 @@ SimModel::QueryExpectation SimModel::ExpectedRows(const SimOp& q) const {
       out.columns.push_back("TYPE");
       out.columns.push_back("ATTRS");
     } else {
-      for (const auto& [tp, ap] : q.proj) {
-        out.columns.push_back(schema_->atom_types[tp].name + "." +
-                              schema_->atom_types[tp].attrs[ap].name);
+      for (const auto& ref : q.proj) {
+        out.columns.push_back(ProjRefName(*schema_, ref));
       }
     }
   }
@@ -441,6 +501,7 @@ SimModel::QueryExpectation SimModel::ExpectedRows(const SimOp& q) const {
       }
     }
     uint64_t count = 0;
+    std::vector<std::vector<Value>> folded;  // global kAggAsOf input
     bool statement_fails = false;
     bool uncertain = false;
     for (AtomId root : AtomsOfType(mol.root_pos)) {
@@ -466,6 +527,16 @@ SimModel::QueryExpectation SimModel::ExpectedRows(const SimOp& q) const {
         } else {
           ++count;
         }
+      } else if (q.qkind == SimQueryKind::kAggAsOf) {
+        std::vector<std::vector<Value>> rows =
+            ProjectBindings(q, HiddenProjection(q), atoms);
+        if (!q.group_by_root) {
+          folded.insert(folded.end(), rows.begin(), rows.end());
+        } else if (!rows.empty()) {
+          std::string row;
+          AppendColumn(&row, Value::Id(root));
+          out.rows.insert(row + "|" + FoldAggregates(q, rows));
+        }
       } else {
         EmitRows(q, root, atoms, nullptr, &out.rows);
       }
@@ -487,6 +558,9 @@ SimModel::QueryExpectation SimModel::ExpectedRows(const SimOp& q) const {
     }
     if (q.qkind == SimQueryKind::kCountAsOf && !q.group_by_root) {
       out.rows.insert(Value::Int(static_cast<int64_t>(count)).ToString());
+    }
+    if (q.qkind == SimQueryKind::kAggAsOf && !q.group_by_root) {
+      out.rows.insert(FoldAggregates(q, folded));  // one row, even empty
     }
     return out;
   }

@@ -178,6 +178,25 @@ class SimModel {
                 const Interval* segment,
                 std::multiset<std::string>* out) const;
 
+  /// The projected values of each qualifying binding of `proj` (plus the
+  /// predicate's type) over one molecule state, deduped by the projected
+  /// atoms' ids: EmitMolecule's projection rows without ROOT/state
+  /// columns.
+  std::vector<std::vector<Value>> ProjectBindings(
+      const SimOp& q, const std::vector<std::pair<uint32_t, uint32_t>>& proj,
+      const std::map<AtomId, const ModelVersion*>& atoms) const;
+
+  /// kAggAsOf: the distinct aggregated attributes in first-use order (the
+  /// executor's hidden projection).
+  static std::vector<std::pair<uint32_t, uint32_t>> HiddenProjection(
+      const SimOp& q);
+
+  /// kAggAsOf: folds one group's hidden-projection rows into its
+  /// aggregate columns (canonical encoding), as the executor's aggregate
+  /// stage does: NULLs skipped, an empty SUM/AVG/MIN/MAX is NULL.
+  std::string FoldAggregates(const SimOp& q,
+                             const std::vector<std::vector<Value>>& rows) const;
+
   std::string RenderAttrs(uint32_t type_pos,
                           const std::vector<Value>& attrs) const;
 

@@ -137,7 +137,7 @@ void GenerateQuery(Random* rng, const SimSchema& schema, Timestamp now,
     op->transient_read_failures = transient_n;
   }
   op->mol_pos = static_cast<uint32_t>(rng->Uniform(schema.molecule_types.size()));
-  switch (rng->Uniform(10)) {
+  switch (rng->Uniform(12)) {
     case 0:
     case 1:
     case 2: op->qkind = SimQueryKind::kAllAsOf; break;
@@ -147,7 +147,9 @@ void GenerateQuery(Random* rng, const SimSchema& schema, Timestamp now,
     case 6:
     case 7: op->qkind = SimQueryKind::kCountAsOf; break;
     case 8: op->qkind = SimQueryKind::kProjAsOf; break;
-    default: op->qkind = SimQueryKind::kProjWindow; break;
+    case 9:
+    case 10: op->qkind = SimQueryKind::kProjWindow; break;
+    default: op->qkind = SimQueryKind::kAggAsOf; break;
   }
   // AS OF: half current, half strictly in the past.
   op->q_at = rng->Bernoulli(0.5)
@@ -170,8 +172,9 @@ void GenerateQuery(Random* rng, const SimSchema& schema, Timestamp now,
     }
     return static_cast<uint32_t>(rng->Uniform(schema.atom_types.size()));
   };
-  op->group_by_root =
-      op->qkind == SimQueryKind::kCountAsOf && rng->Bernoulli(0.5);
+  op->group_by_root = (op->qkind == SimQueryKind::kCountAsOf ||
+                       op->qkind == SimQueryKind::kAggAsOf) &&
+                      rng->Bernoulli(0.5);
   bool projection = op->qkind == SimQueryKind::kProjAsOf ||
                     op->qkind == SimQueryKind::kProjWindow;
   op->has_where = rng->Bernoulli(projection ? 0.4 : 0.5);
@@ -190,6 +193,32 @@ void GenerateQuery(Random* rng, const SimSchema& schema, Timestamp now,
       uint32_t ap = static_cast<uint32_t>(
           rng->Uniform(schema.atom_types[tp].attrs.size()));
       op->proj.emplace_back(tp, ap);
+    }
+    if (rng->Bernoulli(0.4)) {
+      op->order_by = static_cast<int>(rng->Uniform(n));
+      op->order_desc = rng->Bernoulli(0.5);
+    }
+  }
+  if (op->qkind == SimQueryKind::kAggAsOf) {
+    constexpr AggFn kFns[] = {AggFn::kSum, AggFn::kMin, AggFn::kMax,
+                              AggFn::kAvg};
+    uint32_t n = 1 + static_cast<uint32_t>(rng->Uniform(2));
+    for (uint32_t i = 0; i < n; ++i) {
+      AggFn fn = kFns[rng->Uniform(4)];
+      uint32_t tp = pick_type();
+      // SUM/AVG take a numeric attribute (attr 0 is always one), MIN/MAX
+      // any attribute.
+      std::vector<uint32_t> attrs;
+      const auto& defs = schema.atom_types[tp].attrs;
+      for (uint32_t a = 0; a < defs.size(); ++a) {
+        bool numeric = defs[a].type == AttrType::kInt ||
+                       defs[a].type == AttrType::kDouble;
+        if (numeric || fn == AggFn::kMin || fn == AggFn::kMax) {
+          attrs.push_back(a);
+        }
+      }
+      op->aggs.push_back(fn);
+      op->proj.emplace_back(tp, attrs[rng->Uniform(attrs.size())]);
     }
   }
 }
@@ -439,6 +468,12 @@ SimWorkload GenerateWorkload(uint64_t seed, const GenOptions& options) {
 
 // ---- rendering --------------------------------------------------------
 
+std::string ProjRefName(const SimSchema& schema,
+                        const std::pair<uint32_t, uint32_t>& ref) {
+  const SimAtomTypeDef& type = schema.atom_types[ref.first];
+  return type.name + "." + type.attrs[ref.second].name;
+}
+
 std::string QueryToMql(const SimSchema& schema, const SimOp& op) {
   const SimMoleculeTypeDef& mol = schema.molecule_types[op.mol_pos];
   std::string q = "SELECT ";
@@ -448,12 +483,14 @@ std::string QueryToMql(const SimSchema& schema, const SimOp& op) {
     case SimQueryKind::kAllHistory: q += "ALL"; break;
     case SimQueryKind::kCountAsOf: q += "COUNT(*)"; break;
     case SimQueryKind::kProjAsOf:
-    case SimQueryKind::kProjWindow: {
+    case SimQueryKind::kProjWindow:
+    case SimQueryKind::kAggAsOf: {
       for (size_t i = 0; i < op.proj.size(); ++i) {
-        const auto& [tp, ap] = op.proj[i];
         if (i) q += ", ";
-        q += schema.atom_types[tp].name + "." +
-             schema.atom_types[tp].attrs[ap].name;
+        const std::string ref = ProjRefName(schema, op.proj[i]);
+        q += op.aggs.empty() ? ref
+                             : std::string(AggFnName(op.aggs[i])) + "(" +
+                                   ref + ")";
       }
       break;
     }
@@ -473,10 +510,15 @@ std::string QueryToMql(const SimSchema& schema, const SimOp& op) {
     q += std::to_string(op.where_lit);
   }
   if (op.group_by_root) q += " GROUP BY ROOT";
+  if (op.order_by >= 0) {
+    q += " ORDER BY " + ProjRefName(schema, op.proj[op.order_by]);
+    if (op.order_desc) q += " DESC";
+  }
   switch (op.qkind) {
     case SimQueryKind::kAllAsOf:
     case SimQueryKind::kCountAsOf:
     case SimQueryKind::kProjAsOf:
+    case SimQueryKind::kAggAsOf:
       q += " VALID AT " + std::to_string(op.q_at);
       break;
     case SimQueryKind::kAllWindow:

@@ -91,6 +91,7 @@ enum class SimQueryKind {
   kCountAsOf,   // COUNT(*), optionally GROUP BY ROOT
   kProjAsOf,
   kProjWindow,
+  kAggAsOf,     // SUM/MIN/MAX/AVG over `proj`, optionally GROUP BY ROOT
 };
 
 /// One step of a simulation: a flattened union over all op kinds (the
@@ -137,8 +138,14 @@ struct SimOp {
   uint32_t where_attr_pos = 0;
   BinaryOp where_op = BinaryOp::kEq;
   int64_t where_lit = 0;
-  /// Projection refs as (type_pos, attr_pos).
+  /// Projection refs as (type_pos, attr_pos); for kAggAsOf, the
+  /// aggregated attribute of each entry of `aggs`.
   std::vector<std::pair<uint32_t, uint32_t>> proj;
+  /// kAggAsOf: one aggregate function per `proj` entry.
+  std::vector<AggFn> aggs;
+  /// Projection kinds: ORDER BY proj[order_by] (-1 = no ORDER BY).
+  int order_by = -1;
+  bool order_desc = false;
 
   // query governance (kQuery only; all off by default)
   /// Arm this deadline (microseconds) on the query. The harness treats a
@@ -199,6 +206,11 @@ std::string OpToString(const SimSchema& schema, const SimOp& op);
 
 /// Renders the whole workload (schema + ops) for a failing-seed artifact.
 std::string WorkloadToString(const SimWorkload& w);
+
+/// "Type.attr" of a (type_pos, attr_pos) projection ref — the column
+/// name the executor gives it.
+std::string ProjRefName(const SimSchema& schema,
+                        const std::pair<uint32_t, uint32_t>& ref);
 
 /// The MQL text a kQuery op executes.
 std::string QueryToMql(const SimSchema& schema, const SimOp& op);

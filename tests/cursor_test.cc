@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,25 +88,114 @@ TEST_P(CursorTest, StreamsExactlyTheMaterializedResult) {
   }
 }
 
-TEST_P(CursorTest, PipelineBreakersFallBackToMaterializedCursor) {
+/// An ORDER BY query and the same query without its ORDER BY clause.
+struct OrderCase {
+  const char* mql;
+  const char* unordered;
+  size_t key;  // the ORDER BY column
+  bool desc;
+};
+
+const OrderCase kOrderCases[] = {
+    {"SELECT Emp.name FROM DeptMol ORDER BY Emp.name VALID AT NOW",
+     "SELECT Emp.name FROM DeptMol VALID AT NOW", 1, false},
+    {"SELECT Emp.salary FROM DeptMol ORDER BY Emp.salary DESC HISTORY",
+     "SELECT Emp.salary FROM DeptMol HISTORY", 3, true},
+};
+
+/// An aggregate query and, for GROUP BY ROOT, a query with the rows it
+/// folds (null for a global aggregate: one group).
+struct AggregateCase {
+  const char* mql;
+  const char* folded_rows;
+};
+
+const AggregateCase kAggregateCases[] = {
+    {"SELECT COUNT(*), AVG(Emp.salary) FROM DeptMol VALID AT NOW", nullptr},
+    {"SELECT COUNT(*), MIN(Emp.name), MAX(Emp.salary) FROM DeptMol "
+     "GROUP BY ROOT VALID AT NOW",
+     "SELECT Emp.name, Emp.salary FROM DeptMol VALID AT NOW"},
+    {"SELECT SUM(Emp.salary) FROM DeptMol GROUP BY ROOT ORDER BY ROOT DESC "
+     "HISTORY",
+     "SELECT Emp.salary FROM DeptMol HISTORY"},
+};
+
+/// Opens `mql`, drains it in batches of 3, and requires the rows to equal
+/// Database::Execute's; returns them.
+std::vector<std::vector<Value>> DrainMatchingExecute(Database* db,
+                                                     const char* mql) {
+  auto expected = db->Execute(mql);
+  EXPECT_TRUE(expected.ok()) << mql << ": " << expected.status().ToString();
+  auto cursor = db->Query(mql);
+  EXPECT_TRUE(cursor.ok()) << mql << ": " << cursor.status().ToString();
+  std::vector<std::vector<Value>> rows;
+  if (!expected.ok() || !cursor.ok()) return rows;
+  EXPECT_EQ(cursor.value()->columns(), expected.value().columns) << mql;
+  EXPECT_TRUE(Drain(cursor.value().get(), 3, &rows).ok()) << mql;
+  cursor.value()->Close();
+  EXPECT_EQ(rows, expected.value().rows) << mql;
+  return rows;
+}
+
+TEST_P(CursorTest, PipelineBreakersStreamThroughStages) {
   TempDir dir;
-  auto db = OpenCompanyDb(dir.path() + "/db", GetParam(), 1);
-  for (const char* mql :
-       {"SELECT COUNT(*), AVG(Emp.salary) FROM DeptMol VALID AT NOW",
-        "SELECT Emp.name FROM DeptMol ORDER BY Emp.name VALID AT NOW"}) {
-    auto expected = db->Execute(mql);
-    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
-    auto cursor = db->Query(mql);
-    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-    std::vector<std::vector<Value>> rows;
-    ASSERT_TRUE(Drain(cursor.value().get(), 3, &rows).ok());
-    cursor.value()->Close();
-    ASSERT_EQ(rows.size(), expected.value().rows.size()) << mql;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      EXPECT_EQ(rows[i], expected.value().rows[i]) << mql;
+  for (size_t parallelism : {size_t{1}, size_t{4}}) {
+    auto db = OpenCompanyDb(dir.path() + "/p" + std::to_string(parallelism),
+                            GetParam(), parallelism);
+    for (const OrderCase& c : kOrderCases) {
+      // The sort stage is a stable sort of the unordered stream.
+      auto unordered = db->Execute(c.unordered);
+      ASSERT_TRUE(unordered.ok()) << unordered.status().ToString();
+      std::vector<std::vector<Value>> sorted = unordered.value().rows;
+      std::stable_sort(sorted.begin(), sorted.end(),
+                       [&](const std::vector<Value>& a,
+                           const std::vector<Value>& b) {
+                         int cmp = a[c.key].Compare(b[c.key]).value();
+                         return c.desc ? cmp > 0 : cmp < 0;
+                       });
+      EXPECT_EQ(DrainMatchingExecute(db.get(), c.mql), sorted) << c.mql;
+      // ORDER BY holds its whole input (the cursor finalized last).
+      EXPECT_EQ(db->last_query_stats().peak_buffered_rows, sorted.size())
+          << c.mql << " p" << parallelism;
     }
-    // The materialized fallback buffers the whole result.
-    EXPECT_EQ(db->last_query_stats().peak_buffered_rows, rows.size());
+    for (const AggregateCase& c : kAggregateCases) {
+      size_t groups = 1;
+      if (c.folded_rows != nullptr) {
+        auto folded = db->Execute(c.folded_rows);
+        ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+        std::set<AtomId> roots;
+        for (const auto& row : folded.value().rows) {
+          roots.insert(row[0].AsId());
+        }
+        groups = roots.size();
+      }
+      EXPECT_EQ(DrainMatchingExecute(db.get(), c.mql).size(), groups)
+          << c.mql;
+      // An aggregate holds one accumulator row per group.
+      EXPECT_EQ(db->last_query_stats().peak_buffered_rows, groups)
+          << c.mql << " p" << parallelism;
+    }
+
+    // Abandoning an ORDER BY stream after its first row.
+    auto cursor = db->Query(kOrderCases[1].mql);
+    ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+    std::vector<Value> row;
+    auto first = cursor.value()->Next(&row);
+    ASSERT_TRUE(first.ok() && first.value());
+    cursor.value()->Close();
+    EXPECT_EQ(db->last_query_stats().rows_streamed, 1u);
+    auto usable = db->Execute(kOrderCases[0].mql);
+    EXPECT_TRUE(usable.ok()) << usable.status().ToString();
+
+    // An ORDER BY key outside the result fails at open.
+    auto bad =
+        db->Query("SELECT Emp.name FROM DeptMol ORDER BY Emp.salary VALID AT NOW");
+    ASSERT_FALSE(bad.ok());
+    EXPECT_TRUE(bad.status().IsInvalidArgument());
+    EXPECT_NE(bad.status().ToString().find(
+                  "ORDER BY column must appear in the result: Emp.salary"),
+              std::string::npos)
+        << bad.status().ToString();
   }
 }
 

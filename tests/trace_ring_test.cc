@@ -1,6 +1,7 @@
 #include "common/trace_ring.h"
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +143,24 @@ TEST(TraceRingTest, MultiThreadInterleaving) {
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_GE(events[i].ts_us, events[i - 1].ts_us);
   }
+}
+
+TEST(TraceRingTest, ShortLivedThreadsReuseOrdinalsAndRings) {
+  // A thread per query (the cursor's producer) must not leave a ring
+  // behind per query: an exited thread's ordinal, and with it its ring,
+  // goes to the next new thread.
+  TraceRecorder rec(SmallRing(4096));
+  constexpr uint64_t kThreads = 2000;
+  for (uint64_t i = 0; i < kThreads; ++i) {
+    std::thread([&rec, i] { rec.Emit(TraceEventType::kWalAppend, i); })
+        .join();
+  }
+  std::vector<TraceEvent> events = rec.Snapshot();
+  ASSERT_EQ(events.size(), kThreads);
+  std::set<uint32_t> tids;
+  for (const TraceEvent& e : events) tids.insert(e.tid);
+  EXPECT_LE(tids.size(), 4u);
+  EXPECT_EQ(rec.dropped(kTraceCatWal), 0u);
 }
 
 TEST(TraceRingTest, DumpWhileRecording) {
