@@ -1,5 +1,7 @@
 #include "db/database.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -99,7 +101,13 @@ Status Database::Init() {
   pool_->set_trace(&trace_rec_);
   size_t workers = options_.parallelism;
   if (workers == 0) {
-    workers = std::max<size_t>(1, std::thread::hardware_concurrency());
+    // The CPUs this thread may run on, not the machine's: a process
+    // pinned to one CPU gains nothing from fan-out workers.
+    cpu_set_t allowed;
+    workers = sched_getaffinity(0, sizeof(allowed), &allowed) == 0
+                  ? static_cast<size_t>(CPU_COUNT(&allowed))
+                  : std::thread::hardware_concurrency();
+    workers = std::max<size_t>(1, workers);
   }
   if (workers > 1) {
     query_pool_ = std::make_unique<ThreadPool>(workers);
@@ -309,13 +317,27 @@ Status Database::Recover() {
           ++recovery_stats_.skipped_ops;
           return true;
         }
-        TCOB_RETURN_NOT_OK(ApplyOp(op));
+        Status applied = ApplyOp(op);
+        if (op.txn_id == 0 &&
+            (applied.IsNotFound() || applied.IsInvalidArgument() ||
+             applied.IsAlreadyExists())) {
+          // An auto-commit statement is logged before the stores
+          // validate it. One they rejected at runtime, against this same
+          // state, changed nothing then and is skipped now.
+          ++recovery_stats_.rejected_ops;
+          return true;
+        }
+        TCOB_RETURN_NOT_OK(applied);
         ObserveTimestamp(op.valid_from);
         ++recovery_stats_.replayed_ops;
         return true;
       },
       &wal_stats);
   TCOB_RETURN_NOT_OK(replay);
+  if (recovery_stats_.rejected_ops > 0) {
+    TCOB_LOG(kInfo) << "skipped " << recovery_stats_.rejected_ops
+                    << " auto-commit statement(s) rejected at runtime";
+  }
   if (recovery_stats_.discarded_txn_ops > 0) {
     TCOB_LOG(kWarn) << "discarded " << recovery_stats_.discarded_txn_ops
                     << " operation(s) of uncommitted transaction(s)";
@@ -491,8 +513,9 @@ Status Database::LogAndApply(WalOp op) {
     // The record is durably logged but the stores refused it for an
     // environmental reason: a replay would reapply it, so the in-memory
     // image no longer matches what recovery will build. Validation
-    // errors (NotFound etc.) are deterministic — replay fails the same
-    // way — and stay user-visible without degrading the instance.
+    // errors (NotFound, InvalidArgument, AlreadyExists) are
+    // deterministic: recovery skips the logged record the same way, so
+    // they stay user-visible without degrading the instance.
     FailHard(applied);
   }
   return applied;

@@ -70,8 +70,9 @@ struct DatabaseOptions {
   /// 0 relies on natural batching under an in-flight fsync.
   uint64_t group_commit_window_micros = 0;
   /// Worker threads for the read path (molecule materialization fans out
-  /// across them). 0 = one per hardware thread; 1 = fully serial
-  /// execution, byte-identical to the pre-parallel code path. Writes are
+  /// across them). 0 = one per CPU in the opening thread's affinity mask
+  /// (hardware threads if the mask cannot be read); 1 = no worker pool,
+  /// materialization runs inline with byte-identical results. Writes are
   /// single-threaded regardless.
   size_t parallelism = 0;
   /// Physical I/O environment. nullptr = the process-wide POSIX
@@ -146,6 +147,10 @@ struct RecoveryStats {
   /// commit record (the crash hit between a group's enqueue and fsync);
   /// per-transaction atomicity discards them wholesale.
   uint64_t discarded_txn_ops = 0;
+  /// Auto-commit statements the stores rejected at runtime (NotFound,
+  /// InvalidArgument, AlreadyExists after the WAL append): replay skips
+  /// them, as the runtime did, rebuilding the same state.
+  uint64_t rejected_ops = 0;
   /// Bytes dropped from the WAL tail (torn final record after a crash).
   uint64_t wal_dropped_tail_bytes = 0;
   /// True when the dropped tail failed its CRC (vs merely truncated).

@@ -13,88 +13,140 @@ namespace tcob {
 
 namespace {
 
-/// Streaming fan-out scaffold shared by the as-of and history operators.
-/// `materialize(item, worker)` builds one item on the worker's private
-/// cache; `deliver` consumes results on the calling thread in item order
-/// — the same splice the barrier version produced, so output stays
-/// byte-identical to serial execution. Workers run ahead of the consumer
-/// only as far as their bounded channel allows (backpressure bounds
-/// buffered results at workers x capacity, independent of `n`), and the
-/// consumer overlaps with them instead of waiting for a join.
-///
-/// Error protocol: a worker stops its own partition at its first real
-/// error (a deterministic position), the other workers complete their
-/// partitions in full, and the first error in item order is returned —
-/// the same report the serial loop gives, with run-to-run deterministic
-/// work counters. A `deliver` that returns false aborts the workers and
-/// drains their in-flight tail.
-template <typename R>
-Status StreamFanOut(
-    ThreadPool* pool, size_t n, size_t workers, bool skip_not_found,
-    std::vector<double>* worker_us, TraceRecorder* rec, uint64_t query_id,
-    const std::function<Result<R>(size_t item, size_t worker)>& materialize,
-    const std::function<Result<bool>(R)>& deliver) {
-  constexpr size_t kChannelCapacity = 16;
-  std::vector<std::unique_ptr<BoundedQueue<Result<R>>>> channels;
-  channels.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    channels.push_back(
-        std::make_unique<BoundedQueue<Result<R>>>(kChannelCapacity));
-  }
-  std::atomic<bool> abort{false};
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    const size_t begin = n * w / workers;
-    const size_t end = n * (w + 1) / workers;
-    tasks.push_back([&, w, begin, end] {
-      // Pool threads carry no ambient query id of their own: adopt this
-      // query's for the batch so everything the worker touches below
-      // (version cache, buffer pool, cold tier) attributes to it.
-      TraceQueryScope qscope(query_id);
-      TraceSpanScope span(rec, TraceSpanId::kWorker);
-      StopwatchUs timer;
-      for (size_t i = begin; i < end; ++i) {
-        if (abort.load(std::memory_order_acquire)) break;
-        Result<R> r = materialize(i, w);
-        const bool hard_error =
-            !r.ok() && !(skip_not_found && r.status().IsNotFound());
-        if (!channels[w]->Push(std::move(r))) break;  // consumer left
-        if (hard_error) break;  // later items cannot be the first error
-      }
-      channels[w]->CloseProducer();
-      (*worker_us)[w] = timer.ElapsedUs();
-    });
-  }
-  ThreadPool::BatchHandle batch = pool->Submit(std::move(tasks));
-
-  Status first_error = Status::OK();
-  bool stopped = false;
-  for (size_t w = 0; w < workers; ++w) {
-    while (std::optional<Result<R>> item = channels[w]->Pop()) {
-      if (!first_error.ok() || stopped) continue;  // draining only
-      if (!item->ok()) {
-        if (skip_not_found && item->status().IsNotFound()) continue;
-        first_error = item->status();  // first in item order
-        continue;
-      }
-      Result<bool> keep_going = deliver(std::move(*item).value());
-      if (!keep_going.ok()) {
-        first_error = keep_going.status();
-        continue;
-      }
-      if (!keep_going.value() && !stopped) {
-        stopped = true;
-        abort.store(true, std::memory_order_release);
-        for (auto& channel : channels) channel->CloseConsumer();
-      }
+/// A root source over an in-memory id list, in the list's order.
+template <typename Ids>
+auto RootsIn(const Ids& ids) {
+  return [&ids](const std::function<Result<bool>(AtomId)>& visit) -> Status {
+    for (AtomId id : ids) {
+      TCOB_ASSIGN_OR_RETURN(bool more, visit(id));
+      if (!more) break;
     }
-  }
-  pool->Wait(batch);
-  return first_error;
+    return Status::OK();
+  };
 }
 
 }  // namespace
+
+/// Fan-out protocol: workers run ahead of the consumer only as far as
+/// their bounded channel allows. A worker stops its own partition at its
+/// first real error (a deterministic position), the other workers
+/// complete their partitions in full, and the first error in root order
+/// is returned — the report the inline loop gives, with run-to-run
+/// deterministic work counters. A `deliver` that returns false aborts
+/// the workers and drains their in-flight tail.
+template <typename R>
+Status Materializer::ForEachRoot(
+    const RootSource& roots, const Interval& window, bool skip_not_found,
+    const std::function<Result<R>(AtomId, VersionCache*)>& materialize,
+    const std::function<Result<bool>(R)>& deliver) const {
+  last_worker_us_.clear();
+  // Fanning out needs the roots up front (a scan cannot be partitioned);
+  // without a pool to fan out to, the loop streams from the source.
+  const bool pooled = pool_ != nullptr && pool_->workers() > 1;
+  std::vector<AtomId> list;
+  if (pooled) {
+    TCOB_RETURN_NOT_OK(roots([&](AtomId root) -> Result<bool> {
+      list.push_back(root);
+      if ((list.size() & 63) == 0) TCOB_RETURN_NOT_OK(CheckContext());
+      return true;
+    }));
+  }
+  const size_t workers =
+      pooled && list.size() > 1 ? std::min(pool_->workers(), list.size()) : 1;
+
+  // One private cache per worker: caches are not thread-safe, and a
+  // shared one would serialize the very lookups being spread out.
+  // `dropped` keeps the stats of caches discarded under budget pressure.
+  std::vector<VersionCache> caches;
+  caches.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) caches.push_back(NewCache(window));
+  std::vector<VersionCacheStats> dropped(workers);
+  auto build = [&](AtomId root, size_t w) -> Result<R> {
+    TCOB_RETURN_NOT_OK(CheckContext());
+    if (lease_ != nullptr && lease_->TakePressure()) {
+      // Only between roots: a build holds raw pins into its cache.
+      dropped[w] += caches[w].stats();
+      caches[w] = NewCache(window);
+    }
+    return materialize(root, &caches[w]);
+  };
+
+  // The consumer side, on this thread and in root order; false once the
+  // query wants no more results.
+  Status first_error = Status::OK();
+  bool stopped = false;
+  auto accept = [&](Result<R> r) -> bool {
+    if (!first_error.ok() || stopped) return false;
+    if (!r.ok()) {
+      if (skip_not_found && r.status().IsNotFound()) return true;
+      first_error = r.status();
+      return false;
+    }
+    Result<bool> keep_going = deliver(std::move(r).value());
+    if (!keep_going.ok()) {
+      first_error = keep_going.status();
+      return false;
+    }
+    stopped = !keep_going.value();
+    return !stopped;
+  };
+
+  Status out = Status::OK();
+  if (workers == 1) {
+    auto visit = [&](AtomId root) -> Result<bool> {
+      return accept(build(root, 0));
+    };
+    out = pooled ? RootsIn(list)(visit) : roots(visit);
+  } else {
+    constexpr size_t kChannelCapacity = 16;
+    std::vector<std::unique_ptr<BoundedQueue<Result<R>>>> channels;
+    channels.reserve(workers);
+    for (size_t w = 0; w < workers; ++w) {
+      channels.push_back(
+          std::make_unique<BoundedQueue<Result<R>>>(kChannelCapacity));
+    }
+    const uint64_t query_id = ctx_ != nullptr ? ctx_->query_id() : 0;
+    std::atomic<bool> abort{false};
+    last_worker_us_.assign(workers, 0.0);
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(workers);
+    const size_t n = list.size();
+    for (size_t w = 0; w < workers; ++w) {
+      tasks.push_back([&, w, begin = n * w / workers,
+                       end = n * (w + 1) / workers] {
+        // Pool threads carry no ambient query id of their own: adopt
+        // this query's for the batch so everything the worker touches
+        // below (version cache, buffer pool, cold tier) attributes to it.
+        TraceQueryScope qscope(query_id);
+        TraceSpanScope span(trace_rec_, TraceSpanId::kWorker);
+        StopwatchUs timer;
+        for (size_t i = begin; i < end; ++i) {
+          if (abort.load(std::memory_order_acquire)) break;
+          Result<R> r = build(list[i], w);
+          const bool hard_error =
+              !r.ok() && !(skip_not_found && r.status().IsNotFound());
+          if (!channels[w]->Push(std::move(r))) break;  // consumer left
+          if (hard_error) break;  // later roots cannot be the first error
+        }
+        channels[w]->CloseProducer();
+        last_worker_us_[w] = timer.ElapsedUs();
+      });
+    }
+    ThreadPool::BatchHandle batch = pool_->Submit(std::move(tasks));
+    for (size_t w = 0; w < workers; ++w) {
+      while (std::optional<Result<R>> item = channels[w]->Pop()) {
+        accept(std::move(*item));  // drains only, once done
+        if (stopped && !abort.exchange(true, std::memory_order_acq_rel)) {
+          for (auto& channel : channels) channel->CloseConsumer();
+        }
+      }
+    }
+    pool_->Wait(batch);
+  }
+  for (const VersionCache& cache : caches) cache_stats_ += cache.stats();
+  for (const VersionCacheStats& s : dropped) cache_stats_ += s;
+  return first_error.ok() ? out : first_error;
+}
 
 Result<const AtomTypeDef*> Materializer::AtomTypeOf(TypeId id) const {
   return catalog_->GetAtomType(id);
@@ -199,135 +251,31 @@ Status Materializer::AllMoleculesAsOf(
     const std::function<Result<bool>(Molecule)>& fn) const {
   TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* root_type,
                         AtomTypeOf(type.root_type));
-  last_worker_us_.clear();
-  if (pool_ != nullptr && pool_->workers() > 1) {
-    // Collect the qualifying roots first (in scan order — the order the
-    // serial path would emit), then fan the materialization out.
-    std::vector<AtomId> roots;
-    TCOB_RETURN_NOT_OK(store_->ScanAsOf(
-        *root_type, t, [&](const AtomVersion& root) -> Result<bool> {
-          roots.push_back(root.id);
-          if (ctx_ != nullptr && (roots.size() & 63) == 0) {
-            Status governed = ctx_->Check();
-            if (!governed.ok()) return governed;
-          }
-          return true;
-        }));
-    if (roots.size() > 1) {
-      // A scanned root is valid at t by construction, so NotFound is a
-      // real error here — propagate it like the serial loop would.
-      return ParallelMoleculesAsOf(type, roots, t,
-                                   /*skip_not_found=*/false, fn);
-    }
-    // Fall through: zero or one root gains nothing from the pool.
-    VersionCache cache = NewCache(Interval::At(t));
-    Status out = Status::OK();
-    for (AtomId root : roots) {
-      Result<Molecule> mol = MaterializeAsOfImpl(type, root, t, &cache);
-      if (!mol.ok()) {
-        out = mol.status();
-        break;
-      }
-      Result<bool> keep_going = fn(std::move(mol).value());
-      if (!keep_going.ok()) {
-        out = keep_going.status();
-        break;
-      }
-      if (!keep_going.value()) break;
-    }
-    cache_stats_ += cache.stats();
-    return out;
-  }
-  // One cache for the whole scan: a sub-object shared by many molecules
-  // (a department referenced by every employee) is fetched once.
-  VersionCache cache = NewCache(Interval::At(t));
-  Status out = store_->ScanAsOf(
-      *root_type, t, [&](const AtomVersion& root) -> Result<bool> {
-        Status governed = CheckContext();
-        if (!governed.ok()) return governed;
-        if (lease_ != nullptr && lease_->TakePressure()) {
-          cache_stats_ += cache.stats();
-          cache = NewCache(Interval::At(t));
-        }
-        TCOB_ASSIGN_OR_RETURN(
-            Molecule mol, MaterializeAsOfImpl(type, root.id, t, &cache));
-        return fn(std::move(mol));
-      });
-  cache_stats_ += cache.stats();
-  return out;
+  // A scanned root is valid at t by construction, so NotFound is a real
+  // error here.
+  return ForEachRoot<Molecule>(
+      [&](const RootVisitor& visit) {
+        return store_->ScanAsOf(
+            *root_type, t,
+            [&](const AtomVersion& root) { return visit(root.id); });
+      },
+      Interval::At(t), /*skip_not_found=*/false,
+      [&](AtomId root, VersionCache* cache) {
+        return MaterializeAsOfImpl(type, root, t, cache);
+      },
+      fn);
 }
 
 Status Materializer::MoleculesAsOf(
     const MoleculeTypeDef& type, const std::vector<AtomId>& roots,
     Timestamp t, const std::function<Result<bool>(Molecule)>& fn) const {
-  last_worker_us_.clear();
-  if (UseParallel(roots.size())) {
-    return ParallelMoleculesAsOf(type, roots, t, /*skip_not_found=*/true, fn);
-  }
-  // Query-scoped cache: molecules of different roots share pinned
-  // sub-objects instead of re-fetching them per root.
-  VersionCache cache = NewCache(Interval::At(t));
-  Status out = Status::OK();
-  for (AtomId root : roots) {
-    out = CheckContext();
-    if (!out.ok()) break;
-    if (lease_ != nullptr && lease_->TakePressure()) {
-      // Budget pressure: drop the pinned cache and continue fresh.
-      cache_stats_ += cache.stats();
-      cache = NewCache(Interval::At(t));
-    }
-    Result<Molecule> mol = MaterializeAsOfImpl(type, root, t, &cache);
-    if (!mol.ok()) {
-      // Candidate lists may over-approximate (index false positives).
-      if (mol.status().IsNotFound()) continue;
-      out = mol.status();
-      break;
-    }
-    Result<bool> keep_going = fn(std::move(mol).value());
-    if (!keep_going.ok()) {
-      out = keep_going.status();
-      break;
-    }
-    if (!keep_going.value()) break;
-  }
-  cache_stats_ += cache.stats();
-  return out;
-}
-
-Status Materializer::ParallelMoleculesAsOf(
-    const MoleculeTypeDef& type, const std::vector<AtomId>& roots,
-    Timestamp t, bool skip_not_found,
-    const std::function<Result<bool>(Molecule)>& fn) const {
-  const size_t n = roots.size();
-  const size_t workers = std::min(pool_->workers(), n);
-  // One private cache per worker: caches are not thread-safe, and a
-  // shared one would serialize the very lookups we are spreading out.
-  std::vector<VersionCache> caches;
-  caches.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    caches.push_back(NewCache(Interval::At(t)));
-  }
-  // Stats of caches a worker dropped under budget pressure; each worker
-  // writes only its own slot.
-  std::vector<VersionCacheStats> dropped_stats(workers);
-  last_worker_us_.assign(workers, 0.0);
-  // `fn` runs on this thread only, overlapping with the workers.
-  Status out = StreamFanOut<Molecule>(
-      pool_, n, workers, skip_not_found, &last_worker_us_, trace_rec_,
-      ctx_ != nullptr ? ctx_->query_id() : 0,
-      [&](size_t i, size_t w) -> Result<Molecule> {
-        Status governed = CheckContext();
-        if (!governed.ok()) return governed;
-        if (lease_ != nullptr && lease_->TakePressure()) {
-          dropped_stats[w] += caches[w].stats();
-          caches[w] = NewCache(Interval::At(t));
-        }
-        return MaterializeAsOfImpl(type, roots[i], t, &caches[w]);
+  // Candidate lists may over-approximate (index false positives).
+  return ForEachRoot<Molecule>(
+      RootsIn(roots), Interval::At(t), /*skip_not_found=*/true,
+      [&](AtomId root, VersionCache* cache) {
+        return MaterializeAsOfImpl(type, root, t, cache);
       },
       fn);
-  for (VersionCache& cache : caches) cache_stats_ += cache.stats();
-  for (const VersionCacheStats& s : dropped_stats) cache_stats_ += s;
-  return out;
 }
 
 Result<Materializer::ReachableSet> Materializer::DiscoverReachable(
@@ -650,82 +598,25 @@ Status Materializer::AllHistories(
     const std::function<Result<bool>(MoleculeHistory)>& fn) const {
   TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* root_type,
                         AtomTypeOf(type.root_type));
-  last_worker_us_.clear();
   std::set<AtomId> roots;
   size_t scanned = 0;
   TCOB_RETURN_NOT_OK(store_->ScanVersions(
       *root_type, window, [&](const AtomVersion& v) -> Result<bool> {
         roots.insert(v.id);
-        if (ctx_ != nullptr && (++scanned & 63) == 0) {
-          Status governed = ctx_->Check();
-          if (!governed.ok()) return governed;
-        }
+        if ((++scanned & 63) == 0) TCOB_RETURN_NOT_OK(CheckContext());
         return true;
       }));
-  if (UseParallel(roots.size())) {
-    // Fan the sweeps out: contiguous batches of roots (in sorted order —
-    // the order the serial loop visits them), a private cache per
-    // worker, results streamed back in root order.
-    const std::vector<AtomId> root_list(roots.begin(), roots.end());
-    const size_t n = root_list.size();
-    const size_t workers = std::min(pool_->workers(), n);
-    std::vector<VersionCache> caches;
-    caches.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) caches.push_back(NewCache(window));
-    std::vector<VersionCacheStats> dropped_stats(workers);
-    last_worker_us_.assign(workers, 0.0);
-    Status out = StreamFanOut<MoleculeHistory>(
-        pool_, n, workers, /*skip_not_found=*/false, &last_worker_us_,
-        trace_rec_, ctx_ != nullptr ? ctx_->query_id() : 0,
-        [&](size_t i, size_t w) -> Result<MoleculeHistory> {
-          Status governed = CheckContext();
-          if (!governed.ok()) return governed;
-          if (lease_ != nullptr && lease_->TakePressure()) {
-            // HistorySweep holds raw pins only within one call, so the
-            // cache may only be dropped here, between roots.
-            dropped_stats[w] += caches[w].stats();
-            caches[w] = NewCache(window);
-          }
-          return HistorySweep(type, root_list[i], window, &caches[w]);
-        },
-        [&](MoleculeHistory h) -> Result<bool> {
-          // A root alive in the window but never materializable (its
-          // states all gaps) is silent, like the serial loop.
-          if (h.states.empty()) return true;
-          return fn(std::move(h));
-        });
-    for (VersionCache& cache : caches) cache_stats_ += cache.stats();
-    for (const VersionCacheStats& s : dropped_stats) cache_stats_ += s;
-    return out;
-  }
-  // One cache across every history: molecules sharing sub-objects pin
-  // each atom once for the whole statement.
-  VersionCache cache = NewCache(window);
-  Status out = Status::OK();
-  for (AtomId root : roots) {
-    out = CheckContext();
-    if (!out.ok()) break;
-    if (lease_ != nullptr && lease_->TakePressure()) {
-      // Safe only between sweeps: HistorySweep pins raw entry pointers
-      // for the duration of one root.
-      cache_stats_ += cache.stats();
-      cache = NewCache(window);
-    }
-    Result<MoleculeHistory> h = HistorySweep(type, root, window, &cache);
-    if (!h.ok()) {
-      out = h.status();
-      break;
-    }
-    if (h.value().states.empty()) continue;
-    Result<bool> keep_going = fn(std::move(h).value());
-    if (!keep_going.ok()) {
-      out = keep_going.status();
-      break;
-    }
-    if (!keep_going.value()) break;
-  }
-  cache_stats_ += cache.stats();
-  return out;
+  return ForEachRoot<MoleculeHistory>(
+      RootsIn(roots), window, /*skip_not_found=*/false,
+      [&](AtomId root, VersionCache* cache) {
+        return HistorySweep(type, root, window, cache);
+      },
+      [&](MoleculeHistory h) -> Result<bool> {
+        // A root alive in the window but never materializable (its
+        // states all gaps) is silent.
+        if (h.states.empty()) return true;
+        return fn(std::move(h));
+      });
 }
 
 }  // namespace tcob

@@ -31,16 +31,17 @@ namespace tcob {
 /// O(change points x atoms) store accesses — see NaiveHistory, kept as
 /// the reference implementation).
 ///
-/// With a ThreadPool, the all-roots operators fan materialization out
-/// across workers: qualifying roots are partitioned into contiguous
-/// batches, each worker builds its batch against a private query-scoped
-/// cache (read-only store access is thread-safe) and streams its results
+/// Every all-roots operator runs through one per-root loop
+/// (ForEachRoot). With a multi-worker ThreadPool and at least two roots,
+/// the roots are collected and partitioned into contiguous batches;
+/// each worker builds its batch against a private query-scoped cache
+/// (read-only store access is thread-safe) and streams its results
 /// through a bounded channel, and the consumer splices the channels in
-/// root order — output and error behavior are identical to the serial
-/// path, while the consumer overlaps with the workers instead of waiting
-/// for a barrier join (buffered results stay bounded by workers x
-/// channel capacity, independent of the root count). Without a pool the
-/// original serial code runs.
+/// root order while the workers keep producing (buffered results stay
+/// bounded by workers x channel capacity, independent of the root
+/// count). Otherwise the same loop runs inline on one cache, streaming
+/// straight from the root source. Output and error behavior are the
+/// same either way.
 class Materializer {
  public:
   Materializer(const Catalog* catalog, const TemporalAtomStore* store,
@@ -50,12 +51,12 @@ class Materializer {
   /// Attaches the query's cancellation token and memory lease (either
   /// may be null). A Materializer is constructed per statement, so these
   /// are query-scoped: every operator checks `ctx` at its batch
-  /// boundaries (per root in the all-roots loops, per item in fan-out
-  /// workers, every few dozen root-scan callbacks — plus per cache miss
-  /// inside VersionCache, which covers cold-segment decodes), and every
-  /// cache it creates charges its pins to `lease`. When the lease
-  /// reports budget pressure, the all-roots operators drop their pinned
-  /// cache between roots and continue with a fresh one.
+  /// boundaries (per root in the all-roots loop, every few dozen
+  /// root-scan callbacks — plus per cache miss inside VersionCache,
+  /// which covers cold-segment decodes), and every cache it creates
+  /// charges its pins to `lease`. When the lease reports budget
+  /// pressure, the all-roots operators drop their pinned cache between
+  /// roots and continue with a fresh one.
   void set_governance(const QueryContext* ctx, BudgetLease* lease) {
     ctx_ = ctx;
     lease_ = lease;
@@ -146,7 +147,7 @@ class Materializer {
   }
 
   /// Wall time (microseconds) each worker spent in the most recent
-  /// fan-out of an all-roots operator; empty when it ran serially.
+  /// all-roots operator; empty when it ran inline.
   /// EXPLAIN ANALYZE reports these as the per-worker span breakdown.
   const std::vector<double>& last_worker_micros() const {
     return last_worker_us_;
@@ -180,21 +181,25 @@ class Materializer {
                                        AtomId root, const Interval& window,
                                        VersionCache* cache) const;
 
-  /// Fan-out shared by the as-of operators: materializes `roots` across
-  /// the pool's workers (each with a private cache, each streaming into
-  /// a bounded channel) and splices the channels back in root order,
-  /// invoking `fn` serially while the workers keep producing. NotFound
-  /// roots are skipped when `skip_not_found`, propagated otherwise —
-  /// matching the respective serial loops.
-  Status ParallelMoleculesAsOf(
-      const MoleculeTypeDef& type, const std::vector<AtomId>& roots,
-      Timestamp t, bool skip_not_found,
-      const std::function<Result<bool>(Molecule)>& fn) const;
+  /// Enumerates root ids in output order, calling the visitor on each
+  /// until it returns false or an error.
+  using RootVisitor = std::function<Result<bool>(AtomId)>;
+  using RootSource = std::function<Status(const RootVisitor&)>;
 
-  /// True when the fan-out machinery should engage for `n` roots.
-  bool UseParallel(size_t n) const {
-    return pool_ != nullptr && pool_->workers() > 1 && n > 1;
-  }
+  /// The per-root loop behind every all-roots operator.
+  /// `materialize(root, cache)` builds one root against a query-scoped
+  /// cache over `window`; `deliver` consumes the results on the calling
+  /// thread, in root order, until it returns false. Before each root the
+  /// query context is checked and, under budget pressure, the cache is
+  /// dropped for a fresh one. NotFound roots are skipped when
+  /// `skip_not_found` and are errors otherwise; the first error in root
+  /// order is returned. Fans out across the pool when it has more than
+  /// one worker and there are at least two roots; runs inline otherwise.
+  template <typename R>
+  Status ForEachRoot(
+      const RootSource& roots, const Interval& window, bool skip_not_found,
+      const std::function<Result<R>(AtomId, VersionCache*)>& materialize,
+      const std::function<Result<bool>(R)>& deliver) const;
 
   /// OK while the query may keep running (always OK with no context).
   Status CheckContext() const {
@@ -209,7 +214,7 @@ class Materializer {
   BudgetLease* lease_ = nullptr;
   TraceRecorder* trace_rec_ = nullptr;
   mutable VersionCacheStats cache_stats_;
-  // Each parallel task writes only its own slot, so no synchronization
+  // Each fan-out worker writes only its own slot, so no synchronization
   // is needed beyond the pool's batch-completion join.
   mutable std::vector<double> last_worker_us_;
 };

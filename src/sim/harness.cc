@@ -108,7 +108,8 @@ struct Instance {
   SimModel model;
   std::map<AtomId, AtomId> id_map;  // sim id -> this instance's db id
 
-  /// Logical ops this instance acked; invariant: == db->applied_op_seq().
+  /// Logical ops this instance got logged: acked ones plus rejected
+  /// auto-commit statements; invariant: == db->applied_op_seq().
   uint64_t acked = 0;
   bool cut_armed = false;
   CutMode cut_mode = CutMode::kDropUnsynced;
@@ -119,6 +120,7 @@ struct Instance {
 
   uint64_t cuts_fired = 0;
   uint64_t skipped_ops = 0;
+  uint64_t rejected_dml = 0;
   uint64_t queries_run = 0;
   uint64_t queries_compared = 0;
   uint64_t queries_governed = 0;
@@ -391,14 +393,15 @@ std::optional<std::string> HandleCrash(Instance* inst,
   Result<std::unique_ptr<Database>> reopened =
       Database::Open(inst->dir, MakeOptions(inst));
   if (!reopened.ok()) {
-    if (mode == CutMode::kKeepAllTearLast) {
+    if (mode == CutMode::kKeepAllTearLast &&
+        reopened.status().IsCorruption()) {
       // A torn write can leave a detectably corrupt image; refusing to
-      // open it is correct behaviour. Retire the instance.
+      // open it is correct behaviour. Retire the instance. Any other
+      // refusal (a logged statement failing replay) is a recovery bug.
       inst->retired = true;
       return std::nullopt;
     }
-    return "reopen after kDropUnsynced cut failed: " +
-           reopened.status().ToString();
+    return "reopen after cut failed: " + reopened.status().ToString();
   }
   inst->db = std::move(reopened.value());
   Status integrity = inst->db->VerifyIntegrity();
@@ -464,6 +467,28 @@ std::optional<std::string> FailOrCrash(Instance* inst, const Status& s,
                                        const char* what) {
   if (inst->env.cut_fired()) return HandleCrash(inst, pending);
   return std::string(what) + ": " + s.ToString();
+}
+
+/// Checks an auto-commit statement the model rejects: the database must
+/// reject it too, leaving the model unchanged. Such a statement is logged
+/// before the stores refuse it, so it still uses up an op_seq (recovery
+/// skips the record). Any other failure may be a crash in which the
+/// record did or did not reach the log.
+std::optional<std::string> ExpectRejected(Instance* inst, const Status& s,
+                                          const char* what) {
+  if (s.ok()) {
+    return std::string("invalid ") + what + " unexpectedly succeeded";
+  }
+  if (s.IsNotFound() || s.IsInvalidArgument() || s.IsAlreadyExists()) {
+    ++inst->acked;
+    ++inst->rejected_dml;
+    return std::nullopt;
+  }
+  PendingCommit pending;  // no model ops: durable or not, nothing applies
+  pending.seqs = 1;
+  return FailOrCrash(
+      inst, s, &pending,
+      "invalid DML (expected NotFound, InvalidArgument or AlreadyExists)");
 }
 
 /// Re-runs a successfully compared query through Database::Query and
@@ -1011,14 +1036,14 @@ std::optional<std::string> ExecOp(Instance* inst, const SimSchema& schema,
     }
     case SimOpKind::kDelete: {
       ResolvedOp rop = ResolveDml(*inst, nullptr, op);
-      // Deletes are log-then-apply (no prevalidation): issuing an
-      // invalid one would poison the instance, so skip it instead.
-      if (!inst->model.CanDelete(op.type_pos, rop.atom, op.at)) {
-        ++inst->skipped_ops;
-        break;
-      }
+      bool valid = inst->model.CanDelete(op.type_pos, rop.atom, op.at);
       Status s = inst->db->DeleteAtom(schema.atom_types[op.type_pos].name,
                                       rop.atom, op.at);
+      if (!valid) {
+        std::optional<std::string> div = ExpectRejected(inst, s, "delete");
+        if (div.has_value()) return div;
+        break;
+      }
       if (!s.ok()) {
         PendingCommit pending;
         pending.ops.push_back(rop);
@@ -1037,14 +1062,16 @@ std::optional<std::string> ExecOp(Instance* inst, const SimSchema& schema,
       bool valid =
           connect ? inst->model.CanConnect(op.link_pos, rop.from, rop.to)
                   : inst->model.CanDisconnect(op.link_pos, rop.from, rop.to);
-      if (!valid) {  // log-then-apply, same reasoning as delete
-        ++inst->skipped_ops;
-        break;
-      }
       const std::string& link = schema.link_types[op.link_pos].name;
       Status s = connect ? inst->db->Connect(link, rop.from, rop.to, op.at)
                          : inst->db->Disconnect(link, rop.from, rop.to,
                                                 op.at);
+      if (!valid) {
+        std::optional<std::string> div =
+            ExpectRejected(inst, s, connect ? "connect" : "disconnect");
+        if (div.has_value()) return div;
+        break;
+      }
       if (!s.ok()) {
         PendingCommit pending;
         pending.ops.push_back(rop);
@@ -1424,6 +1451,7 @@ RunResult RunWorkload(const SimWorkload& w, const RunOptions& options) {
     report.acked_dml = inst->acked;
     report.cuts_fired = inst->cuts_fired;
     report.skipped_ops = inst->skipped_ops;
+    report.rejected_dml = inst->rejected_dml;
     report.queries_run = inst->queries_run;
     report.queries_compared = inst->queries_compared;
     report.queries_governed = inst->queries_governed;
@@ -1452,6 +1480,7 @@ RunResult RunWorkload(const SimWorkload& w, const RunOptions& options) {
          << ",\"acked_dml\":" << r.acked_dml
          << ",\"cuts_fired\":" << r.cuts_fired
          << ",\"skipped_ops\":" << r.skipped_ops
+         << ",\"rejected_dml\":" << r.rejected_dml
          << ",\"queries_run\":" << r.queries_run
          << ",\"queries_compared\":" << r.queries_compared
          << ",\"queries_governed\":" << r.queries_governed

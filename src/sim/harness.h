@@ -31,9 +31,12 @@ struct InstanceReport {
   std::string name;        // "snapshot/p1", "integrated/p4", ...
   std::string strategy;
   uint64_t parallelism = 1;
-  uint64_t acked_dml = 0;  // successful logical ops (== applied_op_seq)
+  uint64_t acked_dml = 0;  // logical ops logged (== applied_op_seq)
   uint64_t cuts_fired = 0;
   uint64_t skipped_ops = 0;
+  /// Auto-commit DML the model rejected and the database rejected too;
+  /// logged before the stores refused it, so part of acked_dml.
+  uint64_t rejected_dml = 0;
   uint64_t queries_run = 0;
   uint64_t queries_compared = 0;
   /// Queries that ran with a deadline or a cancel-from-a-second-thread

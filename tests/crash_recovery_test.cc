@@ -263,6 +263,91 @@ TEST_P(CrashRecoveryTest, PowerCutDuringCheckpointNeverLosesAckedOps) {
   EXPECT_TRUE(saw_journal_apply);
 }
 
+TEST_P(CrashRecoveryTest, RejectedAutoCommitStatementsDoNotBlockReopen) {
+  // Auto-commit DML is logged before the stores validate it, so each
+  // statement below stays in the WAL although it was rejected. Recovery
+  // must skip it the way the runtime did instead of failing Open.
+  struct Case {
+    const char* name;
+    bool connected;  // DeptEmp dept -> emp open from 10 beforehand
+    std::string (*rejected)(const std::string& dept, const std::string& emp);
+  };
+  const Case cases[] = {
+      {"delete_unknown_atom", false,
+       [](const std::string&, const std::string&) -> std::string {
+         return "DELETE ATOM Emp 999999 VALID FROM 20";
+       }},
+      {"delete_before_birth", false,
+       [](const std::string&, const std::string& emp) -> std::string {
+         return "DELETE ATOM Emp " + emp + " VALID FROM 5";
+       }},
+      {"connect_open_link", true,
+       [](const std::string& dept, const std::string& emp) -> std::string {
+         return "CONNECT DeptEmp FROM " + dept + " TO " + emp +
+                " VALID FROM 20";
+       }},
+      {"disconnect_before_connect", true,
+       [](const std::string& dept, const std::string& emp) -> std::string {
+         return "DISCONNECT DeptEmp FROM " + dept + " TO " + emp +
+                " VALID FROM 5";
+       }},
+      {"disconnect_missing_link", false,
+       [](const std::string& dept, const std::string& emp) -> std::string {
+         return "DISCONNECT DeptEmp FROM " + dept + " TO " + emp +
+                " VALID FROM 20";
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string dir = dir_.path() + "/" + c.name;
+    AtomId after = 0;
+    {
+      auto victim = Database::Open(dir, Options());
+      ASSERT_TRUE(victim.ok());
+      Database* leaked = victim.value().release();
+      ASSERT_TRUE(leaked->ExecuteScript(kSchema).ok());
+      const std::string dept = std::to_string(
+          leaked->Execute("INSERT ATOM Dept (name='d', budget=1) VALID FROM 10")
+              .value()
+              .inserted_id);
+      const std::string emp = std::to_string(
+          leaked->Execute("INSERT ATOM Emp (name='e', salary=1) VALID FROM 10")
+              .value()
+              .inserted_id);
+      if (c.connected) {
+        Run(leaked, "CONNECT DeptEmp FROM " + dept + " TO " + emp +
+                        " VALID FROM 10");
+      }
+      auto rejected = leaked->Execute(c.rejected(dept, emp));
+      ASSERT_FALSE(rejected.ok());
+      const Status& s = rejected.status();
+      EXPECT_TRUE(s.IsNotFound() || s.IsInvalidArgument() ||
+                  s.IsAlreadyExists())
+          << s.ToString();
+      EXPECT_FALSE(leaked->IsPoisoned());
+      after = leaked->Execute("INSERT ATOM Emp (name='after', salary=2) "
+                              "VALID FROM 30")
+                  .value()
+                  .inserted_id;
+      // Leaked: no flush, no checkpoint; the WAL holds every statement.
+    }
+    auto recovered = Database::Open(dir, Options());
+    if (!recovered.ok()) {
+      ADD_FAILURE() << "reopen failed: " << recovered.status().ToString();
+      continue;
+    }
+    Database* db = recovered.value().get();
+    EXPECT_EQ(db->recovery_stats().rejected_ops, 1u);
+    EXPECT_TRUE(db->VerifyIntegrity().ok());
+    const AtomTypeDef* emp_type =
+        db->catalog().GetAtomTypeByName("Emp").value();
+    auto survivor = db->store()->GetAsOf(*emp_type, after, 30);
+    ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
+    ASSERT_TRUE(survivor.value().has_value());
+    EXPECT_EQ(survivor.value()->attrs[0], Value::String("after"));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, CrashRecoveryTest,
                          ::testing::Values(StorageStrategy::kSnapshot,
                                            StorageStrategy::kIntegrated,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/temp_dir.h"
+#include "common/thread_pool.h"
 #include "tstore/store_factory.h"
 
 namespace tcob {
@@ -416,6 +417,95 @@ TEST_P(MaterializerTest, CallerProvidedCacheIsSharedAcrossHistories) {
 
   ExpectIdenticalHistories(h1, mat_->NaiveHistory(Mol(), 1, window).value());
   ExpectIdenticalHistories(h5, mat_->NaiveHistory(Mol(), 5, window).value());
+}
+
+std::string Render(const Molecule& m) {
+  std::string out = std::to_string(m.root) + "{";
+  for (const auto& [id, v] : m.atoms) {
+    out += std::to_string(id) + "v" + std::to_string(v.version_no) + ",";
+  }
+  return out + std::to_string(m.edges.size()) + " edges}";
+}
+
+std::string Render(const MoleculeHistory& h) {
+  std::string out = "history " + std::to_string(h.root);
+  for (const MoleculeState& s : h.states) {
+    out += " [" + std::to_string(s.valid.begin) + "," +
+           std::to_string(s.valid.end) + ")" + Render(s.molecule);
+  }
+  return out;
+}
+
+TEST_P(MaterializerTest, InlineAndFanOutDriversAgree) {
+  // Eight departments with one employee each; each employee gets a raise
+  // at its own instant, and dept #106 closes at 25.
+  std::vector<AtomId> roots;
+  for (AtomId i = 0; i < 8; ++i) {
+    const AtomId dept = 100 + 2 * i;
+    const AtomId emp = dept + 1;
+    ASSERT_TRUE(store_->Insert(DeptT(), dept,
+                               {Value::String("d"), Value::Int(1)}, 10)
+                    .ok());
+    ASSERT_TRUE(
+        store_->Insert(EmpT(), emp, {Value::String("e"), Value::Int(1)}, 10)
+            .ok());
+    ASSERT_TRUE(links_->Connect(DE(), dept, emp, 10).ok());
+    ASSERT_TRUE(store_->Update(EmpT(), emp,
+                               {Value::String("e"), Value::Int(2)},
+                               20 + static_cast<Timestamp>(i))
+                    .ok());
+    roots.push_back(dept);
+  }
+  ASSERT_TRUE(store_->Delete(DeptT(), 106, 25).ok());
+  roots.push_back(999);  // an index false positive: skipped
+
+  ThreadPool pool(4);
+  const Materializer inline_mat(&catalog_, store_.get(), links_.get());
+  const Materializer fanned(&catalog_, store_.get(), links_.get(), &pool);
+
+  // What one operator run delivered, then the status it returned. The
+  // callback stops after `k` items or, with `fail`, errors at item `k`.
+  auto drive = [&](const Materializer& m, int op, size_t k, bool fail) {
+    std::vector<std::string> seen;
+    auto take = [&](std::string item) -> Result<bool> {
+      if (fail && seen.size() == k) {
+        return Status::Internal("failed at item " + std::to_string(k));
+      }
+      seen.push_back(std::move(item));
+      return fail || seen.size() < k;
+    };
+    auto take_molecule = [&](Molecule mol) { return take(Render(mol)); };
+    Status s;
+    switch (op) {
+      case 0:
+        s = m.AllMoleculesAsOf(Mol(), 30, take_molecule);
+        break;
+      case 1:
+        s = m.MoleculesAsOf(Mol(), roots, 30, take_molecule);
+        break;
+      default:
+        s = m.AllHistories(Mol(), Interval(10, 60), [&](MoleculeHistory h) {
+          return take(Render(h));
+        });
+        break;
+    }
+    seen.push_back(s.ToString());
+    return seen;
+  };
+  const size_t full[] = {7, 7, 8};  // dept #106 is dead at 30
+  for (int op = 0; op < 3; ++op) {
+    EXPECT_EQ(drive(fanned, op, 100, false).size(), full[op] + 1);
+    EXPECT_FALSE(fanned.last_worker_micros().empty());
+    EXPECT_EQ(drive(inline_mat, op, 100, false).size(), full[op] + 1);
+    EXPECT_TRUE(inline_mat.last_worker_micros().empty());
+    for (size_t k : {0, 1, 3, 6, 100}) {
+      for (bool fail : {false, true}) {
+        SCOPED_TRACE("op " + std::to_string(op) + " k " + std::to_string(k) +
+                     (fail ? " fail" : " stop"));
+        EXPECT_EQ(drive(inline_mat, op, k, fail), drive(fanned, op, k, fail));
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, MaterializerTest,

@@ -3,6 +3,7 @@
 // runs serially (parallelism = 1) or fanned out across workers.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <string>
 #include <vector>
@@ -75,6 +76,60 @@ TEST_P(ParallelQueryTest, SerialAndParallelResultsAreIdentical) {
   for (const std::string& render : serial) {
     EXPECT_FALSE(render.empty());
   }
+}
+
+/// Pins the calling thread to its first allowed CPU for the guard's
+/// lifetime, restoring the original affinity mask afterwards.
+class PinToOneCpu {
+ public:
+  PinToOneCpu() {
+    ok_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0;
+    if (!ok_) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    ok_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~PinToOneCpu() {
+    if (ok_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
+
+TEST(ParallelismDefaultTest, OneAllowedCpuMeansNoFanOut) {
+  PinToOneCpu pin;
+  ASSERT_TRUE(pin.ok());
+  TempDir dir;
+  auto db = Database::Open(dir.path() + "/db", DatabaseOptions()).value();
+  CompanyConfig config;
+  config.depts = 6;
+  config.emps_per_dept = 2;
+  config.projs_per_emp = 1;
+  config.versions_per_atom = 2;
+  ASSERT_TRUE(BuildCompany(db.get(), config).ok());
+  auto r = db->Execute("EXPLAIN ANALYZE SELECT ALL FROM DeptMol VALID AT NOW");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  bool saw_parallelism = false;
+  for (const auto& row : r.value().rows) {
+    EXPECT_NE(row[0].AsString(), "workers") << row[1].AsString();
+    if (row[0].AsString() == "query" && row[1].AsString() == "parallelism") {
+      saw_parallelism = true;
+      EXPECT_EQ(row[2].AsInt(), 1);
+    }
+    if (row[0].AsString() == "result" && row[1].AsString() == "molecules") {
+      EXPECT_EQ(row[2].AsInt(), 6);
+    }
+  }
+  EXPECT_TRUE(saw_parallelism);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, ParallelQueryTest,
