@@ -119,11 +119,12 @@ void BM_TieringEffect(benchmark::State& state) {
 
   const Interval lifetime{bench_db->handles.first_time,
                           bench_db->handles.last_time + 1};
-  StoreAccessStats store_before = db->store()->access_stats();
-  ColdTierAccessStats cold_before = db->store()->cold_access_stats();
-  uint64_t fetches_before = db->pool()->stats().fetches;
+  // Each measured query runs under a query scope, so `work` meters
+  // exactly their storage work.
+  QueryWork work;
   for (auto _ : state) {
     BenchCheck(db->pool()->Reset(), "cold cache");
+    TraceQueryScope meter(QueryTag{0, &work});
     Materializer mat = db->materializer();
     if (hot_tail) {
       BenchCheck(mat.AllMoleculesAsOf(*mol, db->Now(),
@@ -141,23 +142,19 @@ void BM_TieringEffect(benchmark::State& state) {
                  "long-range history");
     }
   }
-  StoreAccessStats store_delta = db->store()->access_stats();
-  store_delta -= store_before;
-  ColdTierAccessStats cold_delta = db->store()->cold_access_stats();
-  cold_delta -= cold_before;
+  const ColdTierAccessStats cold = ColdTierAccessStats::Of(work);
   const double iters =
       state.iterations() > 0 ? static_cast<double>(state.iterations()) : 1.0;
   state.counters["store_accesses"] =
-      static_cast<double>(store_delta.Total()) / iters;
+      static_cast<double>(StoreAccessStats::Of(work).Total()) / iters;
   state.counters["pool_fetches"] =
-      static_cast<double>(db->pool()->stats().fetches - fetches_before) /
-      iters;
+      static_cast<double>(work[QueryWork::kPoolFetches]) / iters;
   state.counters["segments_pruned"] =
-      static_cast<double>(cold_delta.segments_pruned) / iters;
+      static_cast<double>(cold.segments_pruned) / iters;
   state.counters["segments_scanned"] =
-      static_cast<double>(cold_delta.segments_scanned) / iters;
+      static_cast<double>(cold.segments_scanned) / iters;
   state.counters["cold_versions_read"] =
-      static_cast<double>(cold_delta.cold_versions) / iters;
+      static_cast<double>(cold.cold_versions) / iters;
 
   auto space = db->store()->SpaceStats();
   BenchCheck(space.status(), "space stats");

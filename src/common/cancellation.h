@@ -49,12 +49,6 @@ class QueryContext {
     has_deadline_.store(true, std::memory_order_release);
   }
 
-  /// Stamps the query id this context belongs to (set once at open,
-  /// before the context is shared; read by the flight recorder's
-  /// worker-thread attribution).
-  void set_query_id(uint64_t qid) { query_id_ = qid; }
-  uint64_t query_id() const { return query_id_; }
-
   /// Requests cancellation; safe from any thread, idempotent.
   void Cancel() { cancelled_.store(true, std::memory_order_release); }
 
@@ -104,7 +98,6 @@ class QueryContext {
   std::atomic<bool> has_deadline_{false};
   std::chrono::steady_clock::time_point deadline_{};
   uint64_t timeout_micros_ = 0;
-  uint64_t query_id_ = 0;
 };
 
 }  // namespace tcob

@@ -13,19 +13,66 @@
 
 namespace tcob {
 
+/// The storage work of one query: one relaxed atomic per storage read
+/// counter (4 store, 3 cold-tier, 5 buffer-pool). A Counter tagged with
+/// a slot bumps it here whenever the bumping thread works for the query,
+/// so overlapping queries each see their own work and nothing else.
+class QueryWork {
+ public:
+  enum Slot : uint8_t {
+    kStoreGetAsOf, kStoreGetVersions, kStoreScanAsOf, kStoreScanVersions,
+    kColdSegmentsPruned, kColdSegmentsScanned, kColdVersions,
+    kPoolFetches, kPoolHits, kPoolMisses, kPoolEvictions, kPoolDirtyWritebacks,
+    kSlotCount,
+    kNoSlot = kSlotCount,  // an untagged Counter
+  };
+
+  void Add(Slot s, uint64_t n) {
+    counts_[s].fetch_add(n, std::memory_order_relaxed);
+  }
+  uint64_t operator[](Slot s) const {
+    return counts_[s].load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<uint64_t> counts_[kSlotCount] = {};
+};
+
+/// The query a thread works for: its id (stamped into flight-recorder
+/// events) and its work block (null = work is counted globally only).
+struct QueryTag {
+  uint64_t id = 0;
+  QueryWork* work = nullptr;
+};
+
+/// The calling thread's query tag, set and restored by TraceQueryScope
+/// (common/trace_ring.h) on every thread that works for a query.
+inline QueryTag& ThreadQueryTag() {
+  thread_local QueryTag tag;
+  return tag;
+}
+
 /// Monotonic event counter. Updates are lock-free relaxed atomics:
 /// concurrent writers never lose an increment, so totals are exact (the
-/// PR-2 fan-out workers all bump the same store/pool counters).
+/// fan-out workers all bump the same store/pool counters). A counter
+/// tagged with a QueryWork slot also bumps that slot of the calling
+/// thread's query, if any.
 ///
 /// Non-copyable on purpose — a Counter is an identity (one named series
 /// in a MetricsRegistry), not a value. Snapshots copy `value()`.
 class Counter {
  public:
   Counter() = default;
+  explicit Counter(QueryWork::Slot slot) : slot_(slot) {}
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
-  void Add(uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
+  void Add(uint64_t n) {
+    v_.fetch_add(n, std::memory_order_relaxed);
+    if (slot_ != QueryWork::kNoSlot) {
+      if (QueryWork* work = ThreadQueryTag().work) work->Add(slot_, n);
+    }
+  }
   void Increment() { Add(1); }
   uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
@@ -35,6 +82,7 @@ class Counter {
 
  private:
   mutable std::atomic<uint64_t> v_{0};
+  const QueryWork::Slot slot_ = QueryWork::kNoSlot;
 };
 
 /// Last-write-wins instantaneous value (queue depths, watermarks).

@@ -76,9 +76,6 @@ uint32_t ThisThreadOrdinal() {
   return ordinal.value();
 }
 
-thread_local uint64_t g_thread_query_id = 0;
-
-
 uint64_t NextRecorderId() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -288,12 +285,6 @@ TraceRecorder::TraceRecorder(const TraceOptions& options)
 
 TraceRecorder::~TraceRecorder() = default;
 
-uint64_t TraceRecorder::ThreadQueryId() { return g_thread_query_id; }
-
-void TraceRecorder::SetThreadQueryId(uint64_t qid) {
-  g_thread_query_id = qid;
-}
-
 void TraceRecorder::set_enabled(bool on) {
   enabled_.store(on, std::memory_order_relaxed);
   live_mask_.store(on ? configured_mask_.load(std::memory_order_relaxed) : 0,
@@ -333,7 +324,7 @@ TraceRecorder::Ring* TraceRecorder::RingForThisThread() {
 void TraceRecorder::Emit(TraceEventType type, uint64_t arg) {
   uint32_t cat = TraceEventCategory(type);
   if ((live_mask_.load(std::memory_order_relaxed) & cat) == 0) return;
-  Record(NowMicros(), type, arg, g_thread_query_id);
+  Record(NowMicros(), type, arg, ThreadQueryTag().id);
 }
 
 void TraceRecorder::EmitAt(uint64_t ts_us, TraceEventType type, uint64_t arg,

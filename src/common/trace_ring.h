@@ -60,9 +60,9 @@ struct TraceEvent {
 /// Timestamps are steady-clock microseconds; thread ids are small
 /// process-wide ordinals (stable for the life of the thread, recycled
 /// after it exits together with its rings, so short-lived threads do not
-/// grow the ring set); the query
-/// id is ambient per thread (TraceQueryScope), so deep subsystems
-/// (pool, WAL) attribute their events without plumbing.
+/// grow the ring set); the query id is ambient per thread
+/// (TraceQueryScope), so deep subsystems (pool, WAL) attribute their
+/// events without plumbing.
 class TraceRecorder {
  public:
   explicit TraceRecorder(const TraceOptions& options);
@@ -126,14 +126,10 @@ class TraceRecorder {
   void RegisterMetrics(MetricsRegistry* registry) const;
 
   /// The ambient query id of the calling thread (0 = none).
-  static uint64_t ThreadQueryId();
+  static uint64_t ThreadQueryId() { return ThreadQueryTag().id; }
 
  private:
-  friend class TraceQueryScope;
-
   struct Ring;
-
-  static void SetThreadQueryId(uint64_t qid);
 
   /// The calling thread's ring (created and registered on first use, or
   /// inherited from an exited thread with the same ordinal); null once
@@ -169,22 +165,23 @@ inline void TraceEmit(TraceRecorder* r, TraceEventType type,
   if (r != nullptr) r->Emit(type, arg);
 }
 
-/// RAII ambient query id: set on every thread that does work for one
+/// RAII ambient query tag: set on every thread that does work for one
 /// query (the statement thread, the streaming producer, each fan-out
-/// worker) so events emitted anywhere below attribute to it.
+/// worker) so events emitted anywhere below carry the query's id and
+/// the storage counters bumped anywhere below also count in its
+/// QueryWork block.
 class TraceQueryScope {
  public:
-  explicit TraceQueryScope(uint64_t qid)
-      : prev_(TraceRecorder::ThreadQueryId()) {
-    TraceRecorder::SetThreadQueryId(qid);
+  explicit TraceQueryScope(QueryTag tag) : prev_(ThreadQueryTag()) {
+    ThreadQueryTag() = tag;
   }
-  ~TraceQueryScope() { TraceRecorder::SetThreadQueryId(prev_); }
+  ~TraceQueryScope() { ThreadQueryTag() = prev_; }
 
   TraceQueryScope(const TraceQueryScope&) = delete;
   TraceQueryScope& operator=(const TraceQueryScope&) = delete;
 
  private:
-  uint64_t prev_;
+  QueryTag prev_;
 };
 
 /// RAII begin/end pair (operator spans, checkpoint phases, ...).
@@ -206,12 +203,22 @@ class TraceScope {
   uint64_t arg_;
 };
 
-/// RAII executor/worker operator span.
+/// RAII executor/worker operator span. When `add_us` is given, the
+/// span's wall time is also added to it on close (the QueryStats span
+/// fields), so one scope feeds both the recorder and EXPLAIN ANALYZE.
 class TraceSpanScope : public TraceScope {
  public:
-  TraceSpanScope(TraceRecorder* r, TraceSpanId span)
+  TraceSpanScope(TraceRecorder* r, TraceSpanId span, double* add_us = nullptr)
       : TraceScope(r, TraceEventType::kSpanBegin, TraceEventType::kSpanEnd,
-                   static_cast<uint64_t>(span)) {}
+                   static_cast<uint64_t>(span)),
+        add_us_(add_us) {}
+  ~TraceSpanScope() {
+    if (add_us_ != nullptr) *add_us_ += timer_.ElapsedUs();
+  }
+
+ private:
+  double* add_us_;
+  StopwatchUs timer_;
 };
 
 }  // namespace tcob

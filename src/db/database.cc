@@ -1017,16 +1017,15 @@ Result<ResultSet> Database::Explain(const std::string& select_mql,
 }
 
 /// Everything one SELECT cursor's execution needs alive until it is
-/// finalized: the statement copy, the trace, the counter baselines, and
+/// finalized: the statement copy, the trace, the query's work block, and
 /// the materializer/executor pair the producer thread runs against.
 struct Database::SelectCursorContext {
   SelectStmt stmt;
   QueryStats trace;
   /// Started at open; total_us and first_row_us are offsets from it.
   StopwatchUs total_timer;
-  StoreAccessStats store_before;
-  ColdTierAccessStats tiering_before;
-  BufferPoolStats pool_before;
+  /// The storage work of this query's threads (every thread under `tag`).
+  QueryWork work;
   /// Cancellation scope of this query (deadline armed from options);
   /// shared with the cursor so Cancel() reaches the producer.
   std::shared_ptr<QueryContext> qctx;
@@ -1036,9 +1035,9 @@ struct Database::SelectCursorContext {
   /// True while this query holds an admission slot (released exactly
   /// once, in FinalizeSelectTrace).
   bool admitted = false;
-  /// Flight-recorder id of this query (stamped into every event the
-  /// query's threads emit).
-  uint64_t query_id = 0;
+  /// This query's id (stamped into every event the query's threads
+  /// emit) and `work`; every thread working for the query runs under it.
+  QueryTag tag;
   /// The stream's final status, for the disposition stamp.
   Status final_status = Status::OK();
   /// Receives the finished trace (EXPLAIN ANALYZE); may be null.
@@ -1106,20 +1105,13 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
   if (text != nullptr) ctx->trace.statement = *text;
   ctx->trace.strategy = StorageStrategyName(options_.strategy);
   ctx->trace.parse_us = parse_us;
-  // Attribute storage work by counter deltas: the counters are exact
-  // (relaxed atomics under the fan-out), and statement execution is
-  // single-threaded per database, so the open->finalize delta is this
-  // query's work.
-  ctx->store_before = store_->access_stats();
-  ctx->tiering_before = store_->cold_access_stats();
-  ctx->pool_before = pool_->stats();
   ctx->qctx = QueryContext::WithDeadline(options_.default_query_deadline_micros);
-  ctx->query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  ctx->qctx->set_query_id(ctx->query_id);
+  ctx->tag = {next_query_id_.fetch_add(1, std::memory_order_relaxed),
+              &ctx->work};
   // The open path (admission, planning) runs on this thread under the
-  // query's id; the producer thread and the finalize hook re-establish
-  // it themselves.
-  TraceQueryScope qscope(ctx->query_id);
+  // query's tag; the producer thread and the finalize hook re-establish
+  // it themselves, and fan-out workers adopt the producer's.
+  TraceQueryScope qscope(ctx->tag);
   trace_rec_.Emit(TraceEventType::kQueryBegin);
   ctx->lease.emplace(&memory_budget_);
   if (admission_.max_inflight() > 0) {
@@ -1152,7 +1144,7 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
   // The producer thread owns a share of the context; the finalize hook
   // runs back on this thread (Next/Close after the producer joined).
   auto producer = [ctx](RowSink* sink) -> Status {
-    TraceQueryScope qscope(ctx->query_id);
+    TraceQueryScope qscope(ctx->tag);
     return ctx->exec->ExecuteStreaming(ctx->stmt, ctx->plan, sink);
   };
   auto on_first_row = [ctx] {
@@ -1179,15 +1171,12 @@ Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
 
 void Database::FinalizeSelectTrace(SelectCursorContext* ctx) {
   // Finalize may run on the consumer thread long after the open scope
-  // ended; re-adopt the query id so the end-of-life events attribute.
-  TraceQueryScope qscope(ctx->query_id);
+  // ended; re-adopt the query tag so the end-of-life events attribute.
+  TraceQueryScope qscope(ctx->tag);
   QueryStats& trace = ctx->trace;
-  trace.store = store_->access_stats();
-  trace.store -= ctx->store_before;
-  trace.tiering = store_->cold_access_stats();
-  trace.tiering -= ctx->tiering_before;
-  trace.pool = pool_->stats();
-  trace.pool -= ctx->pool_before;
+  trace.store = StoreAccessStats::Of(ctx->work);
+  trace.tiering = ColdTierAccessStats::Of(ctx->work);
+  trace.pool = BufferPoolStats::Of(ctx->work);
   trace.total_us = trace.parse_us + ctx->total_timer.ElapsedUs();
   if (ctx->lease.has_value()) {
     trace.peak_memory_bytes = ctx->lease->peak();

@@ -508,12 +508,12 @@ class Database {
                                   const std::string* text, double parse_us,
                                   QueryStats* stats = nullptr);
 
-  /// Execution state of one SELECT cursor (the executor, its trace, the
-  /// counter baselines); lives until the cursor is finalized.
+  /// Execution state of one SELECT cursor (the executor, its trace, its
+  /// work block); lives until the cursor is finalized.
   struct SelectCursorContext;
 
   /// Opens a cursor over a SELECT: the executor pipeline behind a
-  /// producer thread. The query trace is finalized (counter deltas,
+  /// producer thread. The query trace is finalized (storage work,
   /// metrics, slow-query log, last_query_stats_, `*stats` when non-null)
   /// exactly once, when the cursor finishes.
   Result<std::unique_ptr<Cursor>> NewSelectCursor(const SelectStmt& stmt,
@@ -521,7 +521,7 @@ class Database {
                                                   double parse_us,
                                                   QueryStats* stats = nullptr);
 
-  /// Stamps the open->now counter deltas and total time into the trace,
+  /// Stamps the query's storage work and total time into the trace,
   /// updates the query metrics and slow-query log, hands the trace to
   /// the query's stats_out, and publishes it as last_query_stats_.
   void FinalizeSelectTrace(SelectCursorContext* ctx);

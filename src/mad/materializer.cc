@@ -105,7 +105,7 @@ Status Materializer::ForEachRoot(
       channels.push_back(
           std::make_unique<BoundedQueue<Result<R>>>(kChannelCapacity));
     }
-    const uint64_t query_id = ctx_ != nullptr ? ctx_->query_id() : 0;
+    const QueryTag tag = ThreadQueryTag();
     std::atomic<bool> abort{false};
     last_worker_us_.assign(workers, 0.0);
     std::vector<std::function<void()>> tasks;
@@ -114,12 +114,13 @@ Status Materializer::ForEachRoot(
     for (size_t w = 0; w < workers; ++w) {
       tasks.push_back([&, w, begin = n * w / workers,
                        end = n * (w + 1) / workers] {
-        // Pool threads carry no ambient query id of their own: adopt
-        // this query's for the batch so everything the worker touches
-        // below (version cache, buffer pool, cold tier) attributes to it.
-        TraceQueryScope qscope(query_id);
-        TraceSpanScope span(trace_rec_, TraceSpanId::kWorker);
-        StopwatchUs timer;
+        // Pool threads carry no query tag of their own: adopt the
+        // submitting thread's for the batch so everything the worker
+        // touches below (version cache, buffer pool, cold tier) counts
+        // for its query.
+        TraceQueryScope qscope(tag);
+        TraceSpanScope span(trace_rec_, TraceSpanId::kWorker,
+                            &last_worker_us_[w]);
         for (size_t i = begin; i < end; ++i) {
           if (abort.load(std::memory_order_acquire)) break;
           Result<R> r = build(list[i], w);
@@ -129,7 +130,6 @@ Status Materializer::ForEachRoot(
           if (hard_error) break;  // later roots cannot be the first error
         }
         channels[w]->CloseProducer();
-        last_worker_us_[w] = timer.ElapsedUs();
       });
     }
     ThreadPool::BatchHandle batch = pool_->Submit(std::move(tasks));

@@ -319,8 +319,7 @@ class CollectingSink : public RowSink {
 }  // namespace
 
 Result<SelectPlan> SelectExecutor::Plan(const SelectStmt& stmt) const {
-  TraceSpanScope span(rec_, TraceSpanId::kPlan);
-  StopwatchUs plan_timer;
+  TraceSpanScope span(rec_, TraceSpanId::kPlan, SpanUs(&QueryStats::plan_us));
   SelectPlan plan;
   TCOB_ASSIGN_OR_RETURN(plan.resolved, ResolveMoleculeType(stmt));
   plan.aggregate = !stmt.aggregates.empty();
@@ -387,7 +386,6 @@ Result<SelectPlan> SelectExecutor::Plan(const SelectStmt& stmt) const {
     }
     plan.order_column = static_cast<size_t>(key - plan.columns.begin());
   }
-  if (trace_ != nullptr) trace_->plan_us += plan_timer.ElapsedUs();
   return plan;
 }
 
@@ -479,8 +477,10 @@ Result<ResultSet> SelectExecutor::Execute(const SelectStmt& stmt) const {
 Status SelectExecutor::ExecuteStreaming(const SelectStmt& stmt,
                                         const SelectPlan& plan,
                                         RowSink* sink) const {
-  TraceSpanScope span(rec_, TraceSpanId::kStream);
-  StopwatchUs exec_timer;
+  // Plan() ran earlier (at cursor open); execute_us spans both halves.
+  if (trace_ != nullptr) trace_->execute_us = trace_->plan_us;
+  TraceSpanScope span(rec_, TraceSpanId::kStream,
+                      SpanUs(&QueryStats::execute_us));
   // emit -> [aggregate] -> [sort] -> sink, chained back to front.
   std::optional<SortStage> sort;
   std::optional<AggregateStage> aggregate;
@@ -492,20 +492,16 @@ Status SelectExecutor::ExecuteStreaming(const SelectStmt& stmt,
 
   Status st = Run(stmt, plan, head);
   if (st.ok() && aggregate.has_value()) {
-    TraceSpanScope stage_span(rec_, TraceSpanId::kAggregate);
-    StopwatchUs stage_timer;
+    TraceSpanScope stage_span(rec_, TraceSpanId::kAggregate,
+                              SpanUs(&QueryStats::aggregate_us));
     st = aggregate->Finish();
-    if (trace_ != nullptr) trace_->aggregate_us += stage_timer.ElapsedUs();
   }
   if (st.ok() && sort.has_value()) {
-    TraceSpanScope stage_span(rec_, TraceSpanId::kSort);
-    StopwatchUs stage_timer;
+    TraceSpanScope stage_span(rec_, TraceSpanId::kSort,
+                              SpanUs(&QueryStats::sort_us));
     st = sort->Finish();
-    if (trace_ != nullptr) trace_->sort_us += stage_timer.ElapsedUs();
   }
   if (trace_ != nullptr) {
-    // Plan() ran earlier (at cursor open); execute_us spans both halves.
-    trace_->execute_us = trace_->plan_us + exec_timer.ElapsedUs();
     trace_->temporal_mode = stmt.mode == TemporalMode::kAsOf
                                 ? "as-of"
                                 : (stmt.mode == TemporalMode::kWindow

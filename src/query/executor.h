@@ -150,6 +150,12 @@ class SelectExecutor {
                             const Molecule& molecule,
                             const Interval* state_valid, RowSink* sink) const;
 
+  /// The trace's span field `us` for a TraceSpanScope to add its wall
+  /// time to; null when untraced.
+  double* SpanUs(double QueryStats::*us) const {
+    return trace_ != nullptr ? &(trace_->*us) : nullptr;
+  }
+
   /// Renders "name=value, ..." for an atom's attributes.
   Result<std::string> RenderAttrs(const AtomVersion& v) const;
 

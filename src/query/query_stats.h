@@ -13,8 +13,9 @@
 namespace tcob {
 
 /// The execution trace of one SELECT: per-operator wall time plus the
-/// storage work it caused, attributed by counter deltas. Filled by the
-/// Database around a traced execution and rendered by EXPLAIN ANALYZE.
+/// storage work it caused, counted in the query's own QueryWork block by
+/// every thread working for it. Filled by the Database around a traced
+/// execution and rendered by EXPLAIN ANALYZE.
 ///
 /// Span model (nested, all wall-clock microseconds):
 ///   total_us
@@ -65,14 +66,13 @@ struct QueryStats {
   /// ORDER BY input).
   uint64_t peak_buffered_rows = 0;
 
-  /// Store round-trips this query caused (counter delta).
+  /// Store round-trips this query caused.
   StoreAccessStats store;
-  /// Cold-tier work this query caused (counter delta; all zero when
-  /// tiering is off).
+  /// Cold-tier work this query caused (all zero when tiering is off).
   ColdTierAccessStats tiering;
   /// Version-cache behavior of this query's caches (exact, query-scoped).
   VersionCacheStats cache;
-  /// Page traffic this query caused (counter delta).
+  /// Page traffic this query caused.
   BufferPoolStats pool;
   /// Wall time each fan-out worker spent materializing (empty = serial).
   std::vector<double> worker_us;

@@ -29,15 +29,11 @@ struct BufferPoolStats {
     return fetches ? static_cast<double>(hits) / fetches : 0.0;
   }
 
-  /// Delta between two snapshots of the same monotonic counters
-  /// (EXPLAIN ANALYZE attributes per-query page traffic this way).
-  BufferPoolStats& operator-=(const BufferPoolStats& o) {
-    fetches -= o.fetches;
-    hits -= o.hits;
-    misses -= o.misses;
-    evictions -= o.evictions;
-    dirty_writebacks -= o.dirty_writebacks;
-    return *this;
+  /// The pool slots of one query's work block.
+  static BufferPoolStats Of(const QueryWork& w) {
+    return {w[QueryWork::kPoolFetches], w[QueryWork::kPoolHits],
+            w[QueryWork::kPoolMisses], w[QueryWork::kPoolEvictions],
+            w[QueryWork::kPoolDirtyWritebacks]};
   }
 };
 
@@ -157,11 +153,11 @@ class BufferPool {
 
   // Relaxed-atomic Counters (see common/metrics.h): exact under the
   // concurrent read path, lock-free on the fetch hot path.
-  Counter fetches_;
-  Counter hits_;
-  Counter misses_;
-  Counter evictions_;
-  Counter dirty_writebacks_;
+  Counter fetches_{QueryWork::kPoolFetches};
+  Counter hits_{QueryWork::kPoolHits};
+  Counter misses_{QueryWork::kPoolMisses};
+  Counter evictions_{QueryWork::kPoolEvictions};
+  Counter dirty_writebacks_{QueryWork::kPoolDirtyWritebacks};
   TraceRecorder* trace_ = nullptr;
 };
 

@@ -186,9 +186,9 @@ class ColdTier {
   mutable std::mutex mu_;
   mutable std::map<TypeId, std::unique_ptr<TypeState>> types_;
 
-  mutable Counter segments_pruned_;
-  mutable Counter segments_scanned_;
-  mutable Counter cold_versions_read_;
+  mutable Counter segments_pruned_{QueryWork::kColdSegmentsPruned};
+  mutable Counter segments_scanned_{QueryWork::kColdSegmentsScanned};
+  mutable Counter cold_versions_read_{QueryWork::kColdVersions};
   mutable Counter segments_built_;
   mutable Counter versions_migrated_;
   mutable Counter input_bytes_;

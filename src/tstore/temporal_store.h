@@ -76,32 +76,27 @@ struct StoreAccessStats {
     return get_as_of + get_versions + scan_as_of + scan_versions;
   }
 
-  /// Delta between two snapshots of the same monotonic counters
-  /// (EXPLAIN ANALYZE attributes per-query accesses this way).
-  StoreAccessStats& operator-=(const StoreAccessStats& o) {
-    get_as_of -= o.get_as_of;
-    get_versions -= o.get_versions;
-    scan_as_of -= o.scan_as_of;
-    scan_versions -= o.scan_versions;
-    return *this;
+  /// The store slots of one query's work block.
+  static StoreAccessStats Of(const QueryWork& w) {
+    return {w[QueryWork::kStoreGetAsOf], w[QueryWork::kStoreGetVersions],
+            w[QueryWork::kStoreScanAsOf], w[QueryWork::kStoreScanVersions]};
   }
 };
 
 class ColdTier;
 
 /// Read-access accounting of the cold-history tier (monotonic counters;
-/// deltas feed the EXPLAIN ANALYZE tiering span). Zero when no cold
-/// tier is attached.
+/// each query's share feeds the EXPLAIN ANALYZE tiering section). Zero
+/// when no cold tier is attached.
 struct ColdTierAccessStats {
   uint64_t segments_pruned = 0;   // skipped via fence / atom-range test
   uint64_t segments_scanned = 0;  // payload actually decoded
   uint64_t cold_versions = 0;     // versions materialized from segments
 
-  ColdTierAccessStats& operator-=(const ColdTierAccessStats& o) {
-    segments_pruned -= o.segments_pruned;
-    segments_scanned -= o.segments_scanned;
-    cold_versions -= o.cold_versions;
-    return *this;
+  /// The cold-tier slots of one query's work block.
+  static ColdTierAccessStats Of(const QueryWork& w) {
+    return {w[QueryWork::kColdSegmentsPruned],
+            w[QueryWork::kColdSegmentsScanned], w[QueryWork::kColdVersions]};
   }
 };
 
@@ -298,10 +293,10 @@ class TemporalAtomStore {
 
   // Relaxed-atomic Counters (see common/metrics.h): concurrent fan-out
   // readers bump them lock-free and totals stay exact.
-  mutable Counter get_as_of_;
-  mutable Counter get_versions_;
-  mutable Counter scan_as_of_;
-  mutable Counter scan_versions_;
+  mutable Counter get_as_of_{QueryWork::kStoreGetAsOf};
+  mutable Counter get_versions_{QueryWork::kStoreGetVersions};
+  mutable Counter scan_as_of_{QueryWork::kStoreScanAsOf};
+  mutable Counter scan_versions_{QueryWork::kStoreScanVersions};
 };
 
 // ---- shared record codecs ----

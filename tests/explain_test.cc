@@ -1,7 +1,9 @@
 // EXPLAIN ANALYZE and per-query tracing: the trace ResultSet is
 // well-formed for every storage strategy (serial and parallel), the
-// result-level totals agree between parallelism 1 and >1, and the
-// per-query trace reconciles with Database::MetricsSnapshot() deltas.
+// result-level totals agree between parallelism 1 and >1, the
+// per-query trace reconciles with Database::MetricsSnapshot() deltas,
+// and a query's trace counts its own storage work even while other
+// queries overlap it.
 
 #include <gtest/gtest.h>
 
@@ -254,6 +256,115 @@ TEST_P(ExplainTest, ConcurrentExplainAnalyzeReportsItsOwnQuery) {
   std::thread other(loop, history);
   loop(slice);
   other.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST_P(ExplainTest, OverlappingQueryReportsOnlyItsOwnWork) {
+  // A SELECT run to completion while another query's cursor is open must
+  // not show up in that query's trace: the cursor reports exactly the
+  // storage work it reports alone. Hits, misses and evictions depend on
+  // the pool state the other query leaves behind, so only the work
+  // itself (store accesses, page fetches) is compared.
+  const std::vector<std::string> statements = {
+      "SELECT ALL FROM DeptMol WHERE Dept.name = 'dept-0' VALID AT 10",
+      "SELECT ALL FROM DeptMol HISTORY",
+  };
+  TempDir dir;
+  for (size_t parallelism : {size_t{1}, size_t{4}}) {
+    auto db = OpenCompanyDb(dir.path() + "/p" + std::to_string(parallelism),
+                            GetParam(), parallelism);
+    for (const std::string& mql : statements) {
+      SCOPED_TRACE(mql + " at parallelism " + std::to_string(parallelism));
+      MetricsSnapshot before = db->MetricsSnapshot();
+      ASSERT_TRUE(db->Execute(mql).ok());
+      MetricsSnapshot after = db->MetricsSnapshot();
+      const QueryStats solo = db->last_query_stats();
+      ASSERT_GT(solo.store.Total(), 0u);
+      // Alone, the query did all the work: its trace includes what its
+      // fan-out workers did on the pool threads.
+      auto delta = [&](const char* name) {
+        return after.CounterOr(name) - before.CounterOr(name);
+      };
+      EXPECT_EQ(solo.store.Total(),
+                delta("tcob_store_get_as_of_total") +
+                    delta("tcob_store_get_versions_total") +
+                    delta("tcob_store_scan_as_of_total") +
+                    delta("tcob_store_scan_versions_total"));
+      EXPECT_EQ(solo.pool.fetches, delta("tcob_pool_fetches_total"));
+
+      auto cursor = db->Query(mql);
+      ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+      ASSERT_TRUE(db->Execute("SELECT ALL FROM DeptMol HISTORY").ok());
+      std::vector<Value> row;
+      for (;;) {
+        auto more = cursor.value()->Next(&row);
+        ASSERT_TRUE(more.ok()) << more.status().ToString();
+        if (!more.value()) break;
+      }
+      const QueryStats overlapped = db->last_query_stats();
+      ASSERT_EQ(overlapped.statement, mql);
+      EXPECT_EQ(overlapped.store.get_as_of, solo.store.get_as_of);
+      EXPECT_EQ(overlapped.store.get_versions, solo.store.get_versions);
+      EXPECT_EQ(overlapped.store.scan_as_of, solo.store.scan_as_of);
+      EXPECT_EQ(overlapped.store.scan_versions, solo.store.scan_versions);
+      EXPECT_EQ(overlapped.pool.fetches, solo.pool.fetches);
+    }
+  }
+}
+
+TEST_P(ExplainTest, ConcurrentQueriesReportSoloWork) {
+  // Four threads share one database (fan-out 2) and loop EXPLAIN ANALYZE
+  // over four statement shapes, each also opening a cursor it closes
+  // after the first row. Every trace must report the storage work its
+  // statement does alone, whatever else runs meanwhile.
+  TempDir dir;
+  auto db = OpenCompanyDb(dir.path() + "/db", GetParam(), 2);
+  const std::vector<std::string> statements = {
+      "EXPLAIN ANALYZE SELECT ALL FROM DeptMol WHERE Dept.name = 'dept-0' "
+      "VALID AT 10",
+      "EXPLAIN ANALYZE SELECT ALL FROM DeptMol HISTORY",
+      "EXPLAIN ANALYZE SELECT COUNT(*), SUM(Emp.salary) FROM DeptMol "
+      "VALID AT NOW",
+      "EXPLAIN ANALYZE SELECT ALL FROM DeptMol ORDER BY ROOT DESC "
+      "VALID IN [10, 40)",
+  };
+  auto work = [](const ResultSet& rs) {
+    auto trace = IndexTrace(rs);
+    return std::make_pair(trace.at({"store", "total_accesses"}).AsInt(),
+                          trace.at({"buffer_pool", "fetches"}).AsInt());
+  };
+  std::map<std::string, std::pair<int64_t, int64_t>> solo;
+  for (const std::string& mql : statements) {
+    auto r = db->Execute(mql);
+    ASSERT_TRUE(r.ok()) << mql << ": " << r.status().ToString();
+    solo[mql] = work(r.value());
+    ASSERT_GT(solo[mql].first, 0) << mql;
+  }
+
+  std::atomic<int> failed{0};
+  std::atomic<int> wrong{0};
+  auto loop = [&](size_t t) {
+    for (size_t i = 0; i < 3 * statements.size(); ++i) {
+      const std::string& mql = statements[(t + i) % statements.size()];
+      auto r = db->Execute(mql);
+      if (!r.ok()) {
+        ++failed;
+        continue;
+      }
+      if (work(r.value()) != solo.at(mql)) ++wrong;
+      auto cursor = db->Query("SELECT ALL FROM DeptMol HISTORY");
+      std::vector<Value> row;
+      if (!cursor.ok() || !cursor.value()->Next(&row).ok()) {
+        ++failed;
+        continue;
+      }
+      cursor.value()->Close();
+    }
+  };
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) threads.emplace_back(loop, t);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failed.load(), 0);
   EXPECT_EQ(wrong.load(), 0);
 }
 

@@ -103,11 +103,11 @@ TEST(TraceRingTest, AmbientQueryIdStampsEvents) {
   TraceRecorder rec(SmallRing());
   rec.Emit(TraceEventType::kWalAppend, 0);
   {
-    TraceQueryScope scope(42);
+    TraceQueryScope scope(QueryTag{42});
     EXPECT_EQ(TraceRecorder::ThreadQueryId(), 42u);
     rec.Emit(TraceEventType::kPoolMiss, 0);
     {
-      TraceQueryScope inner(43);
+      TraceQueryScope inner(QueryTag{43});
       rec.Emit(TraceEventType::kPoolEvict, 0);
     }
     EXPECT_EQ(TraceRecorder::ThreadQueryId(), 42u);
@@ -128,7 +128,7 @@ TEST(TraceRingTest, MultiThreadInterleaving) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&rec, t] {
-      TraceQueryScope scope(static_cast<uint64_t>(t) + 1);
+      TraceQueryScope scope(QueryTag{static_cast<uint64_t>(t) + 1});
       for (uint64_t i = 0; i < kPerThread; ++i) {
         rec.Emit(TraceEventType::kWalAppend, i);
       }
