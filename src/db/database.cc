@@ -123,8 +123,8 @@ Status Database::Init() {
                                  options_.strategy)),
                              options_.store);
   if (options_.tiering.enabled) {
-    // Attached before recovery: WAL replay of retroactive DML consults
-    // the cold tier's idempotence markers.
+    // Attached before recovery, so every store read from here on sees
+    // the full history (replay's index-maintenance lookups included).
     cold_tier_ = std::make_unique<ColdTier>(
         pool_.get(), std::string(StorageStrategyName(options_.strategy)));
     cold_tier_->set_memory_budget(&memory_budget_);
@@ -377,9 +377,7 @@ Status Database::ApplyOp(const WalOp& op) {
       TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
                             catalog_.GetAtomType(op.atom_type));
       // Capture the version being closed before the store mutates it
-      // (index maintenance needs its value and begin; under WAL replay
-      // the lookup still finds it because it is already closed at
-      // valid_from).
+      // (index maintenance needs its value and begin).
       std::optional<AtomVersion> old_version;
       if (attr_indexes_->HasIndexes(type->id)) {
         TCOB_ASSIGN_OR_RETURN(
@@ -473,7 +471,8 @@ Status Database::DumpTraceToFile(const std::string& path) const {
   return Status::OK();
 }
 
-Status Database::LogAndApply(WalOp op) {
+Status Database::LogAndApply(WalOp op,
+                             const std::function<Status(WalOp*)>& resolve) {
   std::lock_guard<std::mutex> lk(writer_mu_);
   TCOB_RETURN_NOT_OK(CheckWritable());
   std::vector<AttrType> schema;
@@ -491,6 +490,7 @@ Status Database::LogAndApply(WalOp op) {
     // the statement retroactively visible inside that snapshot.
     op.valid_from = Now();
   }
+  if (resolve) TCOB_RETURN_NOT_OK(resolve(&op));
   std::string payload;
   TCOB_RETURN_NOT_OK(op.Encode(schema, &payload));
   Status logged = wal_->Append(payload);
@@ -572,7 +572,7 @@ Transaction Database::Begin() {
     // land mid-batch, seeing its earlier ops but not its later ones.
     std::lock_guard<std::mutex> lk(writer_mu_);
     snapshot = Now() - 1;
-    snapshot_seq = txn_manager_.BeginTxn(txn_id);
+    snapshot_seq = txn_manager_.BeginTxn(txn_id, snapshot);
   }
   txns_begun_total_.Increment();
   trace_rec_.Emit(TraceEventType::kTxnBegin, txn_id);
@@ -902,18 +902,27 @@ Status Database::UpdateAtom(
     Timestamp from, bool from_now) {
   TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
                         catalog_.GetAtomTypeByName(type_name));
-  // Carry unchanged attributes over from the version being replaced.
-  TCOB_ASSIGN_OR_RETURN(std::optional<AtomVersion> current,
-                        store_->GetAsOf(*type, id, from - 1));
-  if (!current.has_value()) {
-    return Status::InvalidArgument("atom " + std::to_string(id) +
-                                   " has no version just before " +
-                                   TimestampToString(from));
-  }
-  TCOB_ASSIGN_OR_RETURN(
-      std::vector<Value> values,
-      ResolveAssignmentsFor(*type, assignments, &current->attrs));
-  return UpdateAtomValues(type_name, id, std::move(values), from, from_now);
+  WalOp op;
+  op.type = WalOpType::kUpdateAtom;
+  op.stamped_now = from_now;
+  op.atom_id = id;
+  op.atom_type = type->id;
+  op.valid_from = from;
+  // Carry unchanged attributes over from the version being replaced,
+  // read under the writer mutex against the final stamp: read any
+  // earlier and a concurrent update to another attribute is lost.
+  return LogAndApply(std::move(op), [&](WalOp* op) -> Status {
+    TCOB_ASSIGN_OR_RETURN(std::optional<AtomVersion> current,
+                          store_->GetAsOf(*type, id, op->valid_from - 1));
+    if (!current.has_value()) {
+      return Status::InvalidArgument("atom " + std::to_string(id) +
+                                     " has no version just before " +
+                                     TimestampToString(op->valid_from));
+    }
+    TCOB_ASSIGN_OR_RETURN(
+        op->attrs, ResolveAssignmentsFor(*type, assignments, &current->attrs));
+    return Status::OK();
+  });
 }
 
 Status Database::UpdateAtomValues(const std::string& type_name, AtomId id,
@@ -1506,8 +1515,13 @@ Result<ResultSet> Database::ExecuteStatementImpl(const Statement& stmt,
 
 Result<uint64_t> Database::VacuumBefore(Timestamp cutoff) {
   std::lock_guard<std::mutex> lk(writer_mu_);
-  // The WAL may reference pre-cutoff versions (idempotency markers), so
-  // flush + truncate it before touching the stores.
+  // Every version an open transaction's snapshot can see stays: the
+  // cutoff is held at the oldest open snapshot instant (snapshots are
+  // pinned under writer_mu_ too, so none can appear below it meanwhile).
+  cutoff = std::min(cutoff, txn_manager_.OldestSnapshot());
+  // Vacuuming is not logged. It runs between two checkpoints: a crash
+  // inside it recovers the first one's image with no WAL to replay, and
+  // the second commits the removal in one journal commit.
   TCOB_RETURN_NOT_OK(CheckpointLocked());
   uint64_t removed = 0;
   for (const AtomTypeDef* type : catalog_.AtomTypes()) {

@@ -2,6 +2,7 @@
 #define TCOB_DB_DATABASE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -138,7 +139,8 @@ struct RecoveryStats {
   /// Operations replayed from the WAL into the stores.
   uint64_t replayed_ops = 0;
   /// Operations skipped because the checkpoint already covered them
-  /// (op_seq below the persisted base) — the idempotence path.
+  /// (op_seq below the persisted base); with it, each record is applied
+  /// exactly once.
   uint64_t skipped_ops = 0;
   /// op_seq watermark loaded from the meta file (first op not covered by
   /// the last checkpoint).
@@ -149,7 +151,9 @@ struct RecoveryStats {
   uint64_t discarded_txn_ops = 0;
   /// Auto-commit statements the stores rejected at runtime (NotFound,
   /// InvalidArgument, AlreadyExists after the WAL append): replay skips
-  /// them, as the runtime did, rebuilding the same state.
+  /// them, as the runtime did, rebuilding the same state. Nonzero only
+  /// when such statements were issued; an auto-commit record replayed
+  /// over its own effect would be rejected and counted here too.
   uint64_t rejected_ops = 0;
   /// Bytes dropped from the WAL tail (torn final record after a crash).
   uint64_t wal_dropped_tail_bytes = 0;
@@ -352,8 +356,10 @@ class Database {
   /// interval and index entry that ended at or before `cutoff`.
   /// Time-slice and history queries at instants >= cutoff are
   /// unaffected; queries before the cutoff lose their data (that is the
-  /// point). Wrapped in checkpoints so the WAL never references
-  /// vacuumed state. Returns the number of atom versions removed.
+  /// point). The cutoff is held at the oldest open transaction's
+  /// snapshot instant, so no open snapshot loses a version it can see.
+  /// Wrapped in checkpoints so the WAL never references vacuumed state.
+  /// Returns the number of atom versions removed.
   Result<uint64_t> VacuumBefore(Timestamp cutoff);
 
   /// Cold-history migration: moves every atom version whose validity
@@ -531,7 +537,11 @@ class Database {
 
   /// Stamps the next op_seq onto `op`, appends it to the WAL (syncing if
   /// configured), then applies it. A WAL failure poisons the database.
-  Status LogAndApply(WalOp op);
+  /// `resolve`, if set, runs under the writer mutex after the final
+  /// valid_from stamp and before the append; it may complete the op
+  /// from current state, and an error from it logs nothing.
+  Status LogAndApply(WalOp op,
+                     const std::function<Status(WalOp*)>& resolve = nullptr);
 
   /// Refuses mutations when the open is read-only or the instance has
   /// degraded (fail-stop after an I/O failure).

@@ -28,9 +28,9 @@ TxnWriteKey WriteKeyForOp(const WalOp& op) {
   return key;
 }
 
-uint64_t TxnManager::BeginTxn(uint64_t txn_id) {
+uint64_t TxnManager::BeginTxn(uint64_t txn_id, Timestamp at) {
   std::lock_guard<std::mutex> lk(mu_);
-  active_[txn_id] = commit_seq_;
+  active_[txn_id] = Snapshot{commit_seq_, at};
   return commit_seq_;
 }
 
@@ -77,6 +77,13 @@ uint64_t TxnManager::commit_seq() const {
   return commit_seq_;
 }
 
+Timestamp TxnManager::OldestSnapshot() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  Timestamp oldest = kForever;
+  for (const auto& [id, snap] : active_) oldest = std::min(oldest, snap.at);
+  return oldest;
+}
+
 size_t TxnManager::active_txns() const {
   std::lock_guard<std::mutex> lk(mu_);
   return active_.size();
@@ -104,8 +111,8 @@ void TxnManager::PruneLocked() {
     log_.clear();
     return;
   }
-  uint64_t oldest = active_.begin()->second;
-  for (const auto& [id, snap] : active_) oldest = std::min(oldest, snap);
+  uint64_t oldest = active_.begin()->second.seq;
+  for (const auto& [id, snap] : active_) oldest = std::min(oldest, snap.seq);
   // An entry at or below every active snapshot is visible to all of
   // them and can never conflict again.
   while (!log_.empty() && log_.front().seq <= oldest) log_.pop_front();

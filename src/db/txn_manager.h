@@ -46,13 +46,17 @@ TxnWriteKey WriteKeyForOp(const WalOp& op);
 /// Auto-committed statements participate as single-key commits, so an
 /// open transaction cannot silently overwrite one.
 ///
+/// Each active transaction also records its snapshot instant, so vacuum
+/// can keep every version an open snapshot can see.
+///
 /// Thread-safe: Begin/End run from any thread, Check/Commit from the
 /// Database's writer path; all take an internal mutex.
 class TxnManager {
  public:
-  /// Registers `txn_id` as active; returns the commit sequence its
-  /// snapshot covers (every commit up to and including it is visible).
-  uint64_t BeginTxn(uint64_t txn_id);
+  /// Registers `txn_id` as active with its snapshot instant `at`;
+  /// returns the commit sequence its snapshot covers (every commit up to
+  /// and including it is visible).
+  uint64_t BeginTxn(uint64_t txn_id, Timestamp at);
 
   /// Unregisters `txn_id` (abort, conflict loss, or a write-free
   /// commit) and prunes log entries no remaining snapshot can reach.
@@ -74,6 +78,10 @@ class TxnManager {
   /// The sequence of the newest recorded commit (0 = none yet).
   uint64_t commit_seq() const;
 
+  /// The oldest snapshot instant of any active transaction; kForever
+  /// when none is active.
+  Timestamp OldestSnapshot() const;
+
   /// Number of currently registered transactions.
   size_t active_txns() const;
 
@@ -93,8 +101,13 @@ class TxnManager {
 
   mutable std::mutex mu_;
   uint64_t commit_seq_ = 0;
-  /// txn id -> snapshot commit sequence.
-  std::map<uint64_t, uint64_t> active_;
+  /// An active transaction's snapshot: commit sequence and instant.
+  struct Snapshot {
+    uint64_t seq = 0;
+    Timestamp at = kMinTimestamp;
+  };
+  /// txn id -> snapshot.
+  std::map<uint64_t, Snapshot> active_;
   /// Committed write-sets, ascending by seq; pruned to the oldest
   /// active snapshot.
   std::deque<CommitEntry> log_;

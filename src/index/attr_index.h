@@ -30,15 +30,16 @@ struct ValueRange {
 /// begin-timestamp, payload = the version's end. Every atom version
 /// contributes one entry (closed versions keep theirs), so lookups can
 /// be AS OF any instant. Maintenance is driven by the Database's
-/// logical-operation stream and is idempotent under WAL replay (entries
-/// are keyed deterministically and Put overwrites).
+/// logical-operation stream, once per operation the store accepted; WAL
+/// replay applies each logged operation exactly once, so no hook has to
+/// recognise its own effects.
 class AttrIndexManager {
  public:
   AttrIndexManager(BufferPool* pool, const Catalog* catalog)
       : pool_(pool), catalog_(catalog) {}
 
-  /// Index maintenance hooks, called *before* the store applies the
-  /// operation (`old_version` is the live version being closed, if any).
+  /// Index maintenance hooks, called *after* the store applied the
+  /// operation (`old_version` is the live version it closed, if any).
 
   Status OnInsert(const AtomTypeDef& type, AtomId id,
                   const std::vector<Value>& attrs, Timestamp from);

@@ -46,13 +46,11 @@ Result<LinkStore::LinkState*> LinkStore::StateOf(LinkTypeId link) const {
 Status LinkStore::Connect(const LinkTypeDef& link, AtomId from, AtomId to,
                           Timestamp at) {
   TCOB_ASSIGN_OR_RETURN(LinkState * state, StateOf(link.id));
-  // Reject double-connect; accept idempotent replay.
   auto it = state->fwd.find(from);
   if (it != state->fwd.end()) {
     for (const LinkEntry& e : it->second) {
       if (e.other != to) continue;
       if (e.valid.open_ended()) {
-        if (e.valid.begin == at) return Status::OK();  // idempotent
         return Status::AlreadyExists("link already connected");
       }
       if (at < e.valid.end) {
@@ -78,11 +76,7 @@ Status LinkStore::Disconnect(const LinkTypeDef& link, AtomId from, AtomId to,
     return Status::NotFound("no connection to disconnect");
   }
   for (LinkEntry& e : it->second) {
-    if (e.other != to) continue;
-    if (!e.valid.open_ended()) {
-      if (e.valid.end == at) return Status::OK();  // idempotent
-      continue;
-    }
+    if (e.other != to || !e.valid.open_ended()) continue;
     if (at <= e.valid.begin) {
       return Status::InvalidArgument(
           "disconnect before the connection began");

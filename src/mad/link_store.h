@@ -32,8 +32,11 @@ struct LinkEntry {
 /// [from][to][begin][end]) plus an in-memory adjacency index in both
 /// directions, rebuilt on open.
 ///
-/// Mutations follow the same valid-time contract as atoms and are
-/// idempotent under WAL replay.
+/// Mutations follow the same valid-time contract as atoms: each one
+/// either applies or fails (a second Connect of an open link is
+/// AlreadyExists, a Disconnect without an open link NotFound). WAL replay
+/// applies each record exactly once (see Database::Recover), so no
+/// mutation has to recognise its own effects.
 class LinkStore {
  public:
   LinkStore(BufferPool* pool, std::string file_prefix)

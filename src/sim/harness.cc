@@ -1132,24 +1132,30 @@ std::optional<std::string> ExecOp(Instance* inst, const SimSchema& schema,
       break;
     }
     case SimOpKind::kVacuum: {
+      // The database holds the cutoff at the oldest open snapshot, so
+      // every open slot's overlay stays what its transaction sees.
+      Timestamp cutoff = op.at;
+      for (const TxnSlot& s : inst->slots) {
+        if (s.open) cutoff = std::min(cutoff, s.txn->snapshot());
+      }
       Result<uint64_t> r = inst->db->VacuumBefore(op.at);
       if (!r.ok()) {
         if (inst->env.cut_fired()) {
           // The vacuum may or may not have committed; mask comparisons
           // below the cutoff from here on — in the lock-step model and
           // in the serializability journal alike.
-          inst->model.NoteUncertainVacuum(op.at);
+          inst->model.NoteUncertainVacuum(cutoff);
           inst->vacuum_uncertain = true;
           ResolvedOp rop;
           rop.kind = SimOpKind::kVacuum;
-          rop.at = op.at;
+          rop.at = cutoff;
           rop.vacuum_uncertain = true;
           inst->journal.push_back(rop);
           return HandleCrash(inst, nullptr);
         }
         return "vacuum: " + r.status().ToString();
       }
-      uint64_t expected = inst->model.VacuumBefore(op.at);
+      uint64_t expected = inst->model.VacuumBefore(cutoff);
       if (!inst->vacuum_uncertain && r.value() != expected) {
         return "vacuum removed " + std::to_string(r.value()) +
                " atom versions, model expected " + std::to_string(expected);
@@ -1157,7 +1163,7 @@ std::optional<std::string> ExecOp(Instance* inst, const SimSchema& schema,
       {
         ResolvedOp rop;
         rop.kind = SimOpKind::kVacuum;
-        rop.at = op.at;
+        rop.at = cutoff;
         inst->journal.push_back(rop);
       }
       // Vacuum checkpoints on success, persisting the watermark floor.

@@ -249,36 +249,6 @@ Status ColdTier::CollectAll(
   return Status::OK();
 }
 
-Result<ColdMarkers> ColdTier::MarkersAt(const AtomTypeDef& type, AtomId id,
-                                        Timestamp t) const {
-  ColdMarkers m;
-  TCOB_ASSIGN_OR_RETURN(TypeState * state, EnsureState(type, /*create=*/false));
-  if (state == nullptr) return m;
-  for (const SegmentInfo& si : state->segments) {
-    if (id < si.min_atom || id > si.max_atom || t < si.fence.begin ||
-        t > si.fence.end) {
-      segments_pruned_.Increment();
-      continue;
-    }
-    segments_scanned_.Increment();
-    ScopedDecodeCharge decode_charge(memory_budget_, si.bytes);
-    TCOB_ASSIGN_OR_RETURN(std::string blob, state->heap->Get(si.rid));
-    TCOB_ASSIGN_OR_RETURN(SegmentReader reader,
-                          SegmentReader::Open(std::move(blob),
-                                              type.AttrTypes()));
-    TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> versions,
-                          reader.VersionsOf(id));
-    for (const AtomVersion& v : versions) {
-      if (v.valid.begin == t) {
-        m.begins_at = true;
-        if (v.version_no > 1) m.begins_update_at = true;
-      }
-      if (v.valid.end == t) m.ends_at = true;
-    }
-  }
-  return m;
-}
-
 Result<bool> ColdTier::MightHave(const AtomTypeDef& type, AtomId id) const {
   TCOB_ASSIGN_OR_RETURN(TypeState * state, EnsureState(type, /*create=*/false));
   if (state == nullptr) return false;

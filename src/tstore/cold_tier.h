@@ -88,9 +88,6 @@ class ColdTier {
   Status CollectAll(const AtomTypeDef& type, const Interval& window,
                     std::map<AtomId, std::vector<AtomVersion>>* out) const;
 
-  Result<ColdMarkers> MarkersAt(const AtomTypeDef& type, AtomId id,
-                                Timestamp t) const;
-
   /// Cheap gate: false when no segment's atom-id range covers `id`.
   /// Never touches a payload page (directory metadata only).
   Result<bool> MightHave(const AtomTypeDef& type, AtomId id) const;

@@ -101,15 +101,6 @@ Status IntegratedStore::Insert(const AtomTypeDef& type, AtomId id,
   Result<std::vector<AtomVersion>> existing = LoadCluster(type, id, &rid);
   if (existing.ok()) {
     std::vector<AtomVersion>& versions = existing.value();
-    // Idempotent replay: a version starting at `from` means this insert
-    // was already applied.
-    for (const AtomVersion& v : versions) {
-      if (v.valid.begin == from) return Status::OK();
-    }
-    if (has_cold() && from < versions.front().valid.begin) {
-      TCOB_ASSIGN_OR_RETURN(ColdMarkers cold, ColdMarkersAt(type, id, from));
-      if (cold.begins_at) return Status::OK();
-    }
     const AtomVersion& last = versions.back();
     if (last.valid.open_ended()) {
       return Status::AlreadyExists("atom " + std::to_string(id) +
@@ -140,14 +131,6 @@ Status IntegratedStore::Update(const AtomTypeDef& type, AtomId id,
   TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> versions,
                         LoadCluster(type, id, &rid));
   AtomVersion& current = versions.back();
-  // Idempotent replay: see SnapshotStore::Update.
-  for (const AtomVersion& v : versions) {
-    if (v.valid.begin == from && v.version_no > 1) return Status::OK();
-  }
-  if (has_cold() && from < versions.front().valid.begin) {
-    TCOB_ASSIGN_OR_RETURN(ColdMarkers cold, ColdMarkersAt(type, id, from));
-    if (cold.begins_update_at) return Status::OK();
-  }
   if (!current.valid.open_ended()) {
     return Status::InvalidArgument("update of a dead atom");
   }
@@ -170,20 +153,6 @@ Status IntegratedStore::Delete(const AtomTypeDef& type, AtomId id,
   TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> versions,
                         LoadCluster(type, id, &rid));
   AtomVersion& current = versions.back();
-  // Idempotent replay: see SnapshotStore::Delete.
-  bool ends_at_from = false, begins_at_from = false;
-  for (const AtomVersion& v : versions) {
-    if (v.valid.end == from) ends_at_from = true;
-    if (v.valid.begin == from) begins_at_from = true;
-  }
-  // Cold versions may carry the marker (a cold version can end exactly
-  // where the oldest hot one begins — the migration boundary).
-  if (has_cold() && from <= versions.front().valid.begin) {
-    TCOB_ASSIGN_OR_RETURN(ColdMarkers cold, ColdMarkersAt(type, id, from));
-    ends_at_from = ends_at_from || cold.ends_at;
-    begins_at_from = begins_at_from || cold.begins_at;
-  }
-  if (ends_at_from && !begins_at_from) return Status::OK();
   if (!current.valid.open_ended()) {
     return Status::InvalidArgument("delete of a dead atom");
   }

@@ -153,11 +153,6 @@ Status SeparatedStore::Insert(const AtomTypeDef& type, AtomId id,
   Result<CurrentRecord> existing = LoadCurrent(type, id, &rid);
   if (existing.ok()) {
     CurrentRecord& rec = existing.value();
-    // Idempotent replay: a version starting at `from` means this insert
-    // was already applied.
-    TCOB_ASSIGN_OR_RETURN(ReplayMarkers markers,
-                          ScanMarkers(type, id, rec, from));
-    if (markers.begins_at) return Status::OK();
     if (rec.has_live) {
       return Status::AlreadyExists("atom " + std::to_string(id) +
                                    " already live");
@@ -188,15 +183,6 @@ Status SeparatedStore::Update(const AtomTypeDef& type, AtomId id,
                               std::vector<Value> attrs, Timestamp from) {
   Rid rid;
   TCOB_ASSIGN_OR_RETURN(CurrentRecord rec, LoadCurrent(type, id, &rid));
-  // Idempotent replay: a successor version starting at `from` already
-  // exists (version 1 can only come from Insert, so exclude a live v1).
-  TCOB_ASSIGN_OR_RETURN(ReplayMarkers markers,
-                        ScanMarkers(type, id, rec, from));
-  if (markers.begins_at &&
-      !(rec.has_live && rec.live.valid.begin == from &&
-        rec.live.version_no == 1 && rec.chain_len == 0)) {
-    return Status::OK();
-  }
   if (!rec.has_live) {
     return Status::InvalidArgument("update of a dead atom");
   }
@@ -224,11 +210,6 @@ Status SeparatedStore::Delete(const AtomTypeDef& type, AtomId id,
                               Timestamp from) {
   Rid rid;
   TCOB_ASSIGN_OR_RETURN(CurrentRecord rec, LoadCurrent(type, id, &rid));
-  // Idempotent replay: a version ending at `from` with no successor
-  // starting there means this delete was already applied.
-  TCOB_ASSIGN_OR_RETURN(ReplayMarkers markers,
-                        ScanMarkers(type, id, rec, from));
-  if (markers.ends_at && !markers.begins_at) return Status::OK();
   if (!rec.has_live) {
     return Status::InvalidArgument("delete of a dead atom");
   }
@@ -337,32 +318,6 @@ Result<std::vector<AtomVersion>> SeparatedStore::CollectPast(
   if (proved_floor) *proved_floor = proved;
   std::reverse(newest_first.begin(), newest_first.end());
   return newest_first;
-}
-
-Result<SeparatedStore::ReplayMarkers> SeparatedStore::ScanMarkers(
-    const AtomTypeDef& type, AtomId id, const CurrentRecord& cur,
-    Timestamp at) const {
-  ReplayMarkers markers;
-  if (cur.has_live && cur.live.valid.begin == at) markers.begins_at = true;
-  TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
-  std::vector<AttrType> schema = type.AttrTypes();
-  Rid rid = cur.chain_head;
-  while (rid.valid()) {
-    TCOB_ASSIGN_OR_RETURN(std::string rec, state->history->Get(rid));
-    TCOB_ASSIGN_OR_RETURN(auto decoded, DecodeHistory(schema, Slice(rec)));
-    if (decoded.first.valid.begin == at) markers.begins_at = true;
-    if (decoded.first.valid.end == at) markers.ends_at = true;
-    rid = decoded.second;
-  }
-  // The markers must cover the full history: a cold version may end
-  // exactly where a hot one begins (the migration boundary), and a
-  // replayed mutation may predate everything still hot.
-  if (has_cold()) {
-    TCOB_ASSIGN_OR_RETURN(ColdMarkers cold, ColdMarkersAt(type, id, at));
-    markers.begins_at = markers.begins_at || cold.begins_at;
-    markers.ends_at = markers.ends_at || cold.ends_at;
-  }
-  return markers;
 }
 
 Result<std::optional<AtomVersion>> SeparatedStore::DoGetAsOf(

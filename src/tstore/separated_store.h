@@ -133,17 +133,6 @@ class SeparatedStore : public TemporalAtomStore {
       const AtomTypeDef& type, const CurrentRecord& cur,
       const Interval& window, Timestamp* proved_floor = nullptr) const;
 
-  /// WAL-replay detection: does any version (live, closed, or cold)
-  /// begin/end exactly at `at`? Walks the chain, then merges the cold
-  /// tier's markers so replay against migrated history still idempotes.
-  struct ReplayMarkers {
-    bool begins_at = false;
-    bool ends_at = false;
-  };
-  Result<ReplayMarkers> ScanMarkers(const AtomTypeDef& type, AtomId id,
-                                    const CurrentRecord& cur,
-                                    Timestamp at) const;
-
   static std::string VersionKey(AtomId id, Timestamp begin);
 
   BufferPool* pool_;

@@ -81,25 +81,6 @@ Status SnapshotStore::Insert(const AtomTypeDef& type, AtomId id,
                         NewestVersion(type, id, nullptr));
   uint32_t version_no = 1;
   if (newest.has_value()) {
-    // Idempotent replay: the newest version starting at `from` means
-    // this insert was already applied.
-    if (newest->valid.begin == from) return Status::OK();
-    if (from < newest->valid.begin) {
-      // Replay of an insert older than the newest version: confirm
-      // against the full history (rare path; only on WAL replay).
-      TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> all,
-                            AllVersions(type, id));
-      for (const AtomVersion& v : all) {
-        if (v.valid.begin == from) return Status::OK();
-      }
-      TCOB_ASSIGN_OR_RETURN(ColdMarkers cold, ColdMarkersAt(type, id, from));
-      if (cold.begins_at) return Status::OK();
-      return newest->valid.open_ended()
-                 ? Status::AlreadyExists("atom " + std::to_string(id) +
-                                         " already live")
-                 : Status::InvalidArgument(
-                       "re-insert before previous deletion");
-    }
     if (newest->valid.open_ended()) {
       return Status::AlreadyExists("atom " + std::to_string(id) +
                                    " already live");
@@ -128,19 +109,7 @@ Status SnapshotStore::Update(const AtomTypeDef& type, AtomId id,
     return Status::NotFound("update of unknown atom " + std::to_string(id));
   }
   std::vector<AttrType> schema = type.AttrTypes();
-  // Idempotent replay: the successor this update would create exists.
-  if (newest->valid.begin == from && newest->version_no > 1) {
-    return Status::OK();
-  }
   if (from < newest->valid.begin) {
-    // Either a replay of an older update, or a retroactive update.
-    TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> all,
-                          AllVersions(type, id));
-    for (const AtomVersion& v : all) {
-      if (v.valid.begin == from && v.version_no > 1) return Status::OK();
-    }
-    TCOB_ASSIGN_OR_RETURN(ColdMarkers cold, ColdMarkersAt(type, id, from));
-    if (cold.begins_update_at) return Status::OK();
     return Status::InvalidArgument("retroactive update not supported");
   }
   if (!newest->valid.open_ended()) {
@@ -179,27 +148,7 @@ Status SnapshotStore::Delete(const AtomTypeDef& type, AtomId id,
   if (!newest.has_value()) {
     return Status::NotFound("delete of unknown atom " + std::to_string(id));
   }
-  // Idempotent replay: the newest version already ends at `from` (a
-  // successor starting there would itself be the newest version).
-  if (!newest->valid.open_ended() && newest->valid.end == from) {
-    return Status::OK();
-  }
   if (from <= newest->valid.begin) {
-    // Either the replay of an older delete (the atom has a gap at
-    // `from`), or an invalid early delete.
-    TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> all,
-                          AllVersions(type, id));
-    bool ends_at = false, begins_at = false;
-    for (const AtomVersion& v : all) {
-      if (v.valid.end == from) ends_at = true;
-      if (v.valid.begin == from) begins_at = true;
-    }
-    // The markers must cover the full history: a cold version may end
-    // exactly where a hot one begins (the migration boundary).
-    TCOB_ASSIGN_OR_RETURN(ColdMarkers cold, ColdMarkersAt(type, id, from));
-    ends_at = ends_at || cold.ends_at;
-    begins_at = begins_at || cold.begins_at;
-    if (ends_at && !begins_at) return Status::OK();
     return Status::InvalidArgument("delete before the current version began");
   }
   if (!newest->valid.open_ended()) {

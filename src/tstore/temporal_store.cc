@@ -111,13 +111,6 @@ Result<std::vector<AtomVersion>> TemporalAtomStore::ColdVersions(
   return cold_->VersionsOf(type, id, window);
 }
 
-Result<ColdMarkers> TemporalAtomStore::ColdMarkersAt(const AtomTypeDef& type,
-                                                     AtomId id,
-                                                     Timestamp t) const {
-  if (!cold_) return ColdMarkers{};
-  return cold_->MarkersAt(type, id, t);
-}
-
 Result<bool> TemporalAtomStore::ColdMightHave(const AtomTypeDef& type,
                                               AtomId id) const {
   if (!cold_) return false;

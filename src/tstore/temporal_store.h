@@ -100,16 +100,6 @@ struct ColdTierAccessStats {
   }
 };
 
-/// Whether an atom begins or ends a cold version exactly at one instant
-/// (replay-idempotence checks for retroactive DML consult this, so DML
-/// against old timestamps reports the same status with and without
-/// tiering).
-struct ColdMarkers {
-  bool begins_at = false;         // some cold version begins at t
-  bool begins_update_at = false;  // ... with version_no > 1 (an update)
-  bool ends_at = false;           // some cold version ends at t
-};
-
 /// Storage-strategy-independent interface over versioned atoms.
 ///
 /// Mutation contract (shared by all implementations):
@@ -120,9 +110,12 @@ struct ColdMarkers {
 ///  * Delete closes the current version at `from`, leaving the atom with
 ///    no live version (it may be re-inserted later, resuming its history).
 ///
-/// All three mutations are idempotent with respect to WAL replay: an
-/// operation whose effects are already present reports OK without
-/// changing anything.
+/// A mutation either applies or fails; none reports OK without changing
+/// the history. Re-applying an existing boundary fails like any other
+/// invalid mutation (AlreadyExists for a live atom's Insert, NotFound for
+/// an unknown atom, InvalidArgument otherwise). WAL replay never
+/// re-applies: recovery starts from the checkpoint image and skips every
+/// record that image already covers (DESIGN §3.3).
 class TemporalAtomStore {
  public:
   using VersionCallback =
@@ -269,8 +262,6 @@ class TemporalAtomStore {
   Result<std::vector<AtomVersion>> ColdVersions(const AtomTypeDef& type,
                                                 AtomId id,
                                                 const Interval& window) const;
-  Result<ColdMarkers> ColdMarkersAt(const AtomTypeDef& type, AtomId id,
-                                    Timestamp t) const;
   Result<bool> ColdMightHave(const AtomTypeDef& type, AtomId id) const;
   Status ColdCollectAll(const AtomTypeDef& type, const Interval& window,
                         std::map<AtomId, std::vector<AtomVersion>>* out) const;

@@ -27,15 +27,16 @@ enum class WalOpType : uint8_t {
 /// One logical redo record.
 ///
 /// TCOB logs *operations*, not page images: replay re-executes the DML
-/// against the stores. Store implementations make replay idempotent by
-/// recognizing already-applied operations (e.g. an update whose valid-from
-/// equals the current version's begin and whose attributes match).
+/// against the stores. Each record is applied exactly once: recovery
+/// starts from an exact checkpoint image (the page journal) and skips
+/// every record whose op_seq that image already covers, so the stores
+/// never see a mutation twice and need no replay detection of their own.
 struct WalOp {
   WalOpType type = WalOpType::kCommit;
   uint64_t txn_id = 0;
   /// Database-wide monotonic sequence number (LSN analogue). A
   /// checkpoint persists the next sequence into the meta file; replay
-  /// skips records below it, making recovery idempotent even when a
+  /// skips records below it, so each record is applied once even when a
   /// crash lands between the checkpoint's page flush and the WAL
   /// truncation — or during a re-crash inside recovery itself.
   uint64_t op_seq = 0;

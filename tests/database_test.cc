@@ -254,6 +254,91 @@ TEST_P(DatabaseTest, CompanyWorkloadSmokeTest) {
   EXPECT_EQ(first.RowCount(), 3u * 9u);
 }
 
+// A write re-issued at the instant of an identical one is rejected, with
+// the class the same statement gets inside BEGIN...COMMIT; it is never
+// acknowledged without effect. Its logged record is skipped at recovery.
+TEST_P(DatabaseTest, DuplicateWriteAtSameInstantIsRejected) {
+  const std::string dir = dir_.path() + "/db";
+  auto history = [](Database* db) {
+    std::vector<std::string> rows;
+    auto rs = db->Execute("SELECT ALL FROM DeptMol HISTORY");
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    if (!rs.ok()) return rows;
+    for (const auto& row : rs.value().rows) {
+      std::string line;
+      for (const Value& v : row) line += v.ToString() + "|";
+      rows.push_back(line);
+    }
+    return rows;
+  };
+  auto salary_at_25 = [](Database* db, const std::string& emp) -> int64_t {
+    auto rs = db->Execute("SELECT Emp.salary FROM DeptMol WHERE Emp.name = '" +
+                          emp + "' VALID AT 25");
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    if (!rs.ok() || rs.value().RowCount() != 1) return -1;
+    return rs.value().rows[0].back().AsInt();
+  };
+  std::vector<std::string> first_state;
+  {
+    auto victim = Database::Open(dir, Options());
+    ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+    Database* leaked = victim.value().release();
+    Run(leaked, kSchema);
+    auto insert = [&](const std::string& mql) {
+      return std::to_string(Run(leaked, mql + " VALID FROM 10").inserted_id);
+    };
+    const std::string dept = insert("INSERT ATOM Dept (name='d', budget=1)");
+    const std::string ada = insert("INSERT ATOM Emp (name='ada', salary=1)");
+    const std::string bob = insert("INSERT ATOM Emp (name='bob', salary=1)");
+    const std::string carl = insert("INSERT ATOM Emp (name='carl', salary=1)");
+    Run(leaked, "CONNECT DeptEmp FROM " + dept + " TO " + bob +
+                    " VALID FROM 10; CONNECT DeptEmp FROM " + dept + " TO " +
+                    carl + " VALID FROM 10");
+    struct Case {
+      std::string first, again;
+      StatusCode code;
+    };
+    const std::vector<Case> cases = {
+        {"UPDATE ATOM Emp " + ada + " SET salary=5 VALID FROM 20",
+         "UPDATE ATOM Emp " + ada + " SET salary=7 VALID FROM 20",
+         StatusCode::kInvalidArgument},
+        {"DELETE ATOM Emp " + carl + " VALID FROM 20",
+         "DELETE ATOM Emp " + carl + " VALID FROM 20",
+         StatusCode::kInvalidArgument},
+        {"CONNECT DeptEmp FROM " + dept + " TO " + ada + " VALID FROM 20",
+         "CONNECT DeptEmp FROM " + dept + " TO " + ada + " VALID FROM 20",
+         StatusCode::kAlreadyExists},
+        {"DISCONNECT DeptEmp FROM " + dept + " TO " + bob + " VALID FROM 20",
+         "DISCONNECT DeptEmp FROM " + dept + " TO " + bob + " VALID FROM 20",
+         StatusCode::kNotFound},
+    };
+    for (const Case& c : cases) Run(leaked, c.first);
+    first_state = history(leaked);
+    EXPECT_EQ(salary_at_25(leaked, "ada"), 5);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.again);
+      Run(leaked, "BEGIN");
+      auto in_txn = leaked->Execute(c.again);
+      Run(leaked, "ABORT");
+      ASSERT_FALSE(in_txn.ok());
+      EXPECT_EQ(in_txn.status().code(), c.code) << in_txn.status().ToString();
+      auto auto_commit = leaked->Execute(c.again);
+      ASSERT_FALSE(auto_commit.ok());
+      EXPECT_EQ(auto_commit.status().code(), c.code)
+          << auto_commit.status().ToString();
+      EXPECT_FALSE(leaked->IsPoisoned());
+    }
+    EXPECT_EQ(history(leaked), first_state);
+    EXPECT_EQ(salary_at_25(leaked, "ada"), 5);
+    // Leaked: no flush, no checkpoint; the WAL holds every statement.
+  }
+  auto db = OpenDb();
+  EXPECT_EQ(db->recovery_stats().rejected_ops, 4u);
+  EXPECT_TRUE(db->VerifyIntegrity().ok());
+  EXPECT_EQ(history(db.get()), first_state);
+  EXPECT_EQ(salary_at_25(db.get(), "ada"), 5);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, DatabaseTest,
                          ::testing::Values(StorageStrategy::kSnapshot,
                                            StorageStrategy::kIntegrated,

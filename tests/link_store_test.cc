@@ -69,16 +69,16 @@ TEST_F(LinkStoreTest, ErrorCases) {
   ASSERT_TRUE(links_->Connect(link_, 1, 10, 5).ok());
   // Double connect while open.
   EXPECT_TRUE(links_->Connect(link_, 1, 10, 7).IsAlreadyExists());
-  // Idempotent replay of the same connect.
-  EXPECT_TRUE(links_->Connect(link_, 1, 10, 5).ok());
+  // Re-applying the same connect is a double connect too.
+  EXPECT_TRUE(links_->Connect(link_, 1, 10, 5).IsAlreadyExists());
   // Disconnect of a non-existent connection.
   EXPECT_TRUE(links_->Disconnect(link_, 2, 10, 7).IsNotFound());
   EXPECT_TRUE(links_->Disconnect(link_, 1, 99, 7).IsNotFound());
   // Disconnect before the connection began.
   EXPECT_TRUE(links_->Disconnect(link_, 1, 10, 5).IsInvalidArgument());
   ASSERT_TRUE(links_->Disconnect(link_, 1, 10, 9).ok());
-  // Idempotent replay of the disconnect.
-  EXPECT_TRUE(links_->Disconnect(link_, 1, 10, 9).ok());
+  // Re-applying the disconnect finds no open connection.
+  EXPECT_TRUE(links_->Disconnect(link_, 1, 10, 9).IsNotFound());
   // Reconnect overlapping the closed interval.
   EXPECT_TRUE(links_->Connect(link_, 1, 10, 7).IsInvalidArgument());
 }

@@ -3,6 +3,7 @@
 // MQL, and group-commit fsync batching. The commit-storm test doubles
 // as the TSan target for the whole transaction path.
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -442,6 +443,71 @@ TEST_P(MvccTest, NowThenExplicitReorderAbortsCleanly) {
                   .ok());
   EXPECT_TRUE(retry.Commit().ok());
   EXPECT_EQ(CountAtomsAt("Dept", db_->Now()), 2u);
+}
+
+// Auto-commit UPDATE carries unchanged attributes over from the version
+// it replaces. Two threads update disjoint attributes of one atom
+// VALID FROM NOW; the carried-over read must see the other thread's
+// latest write, or that write is lost in the next version.
+TEST_P(MvccTest, ConcurrentAutoCommitUpdatesKeepUnchangedAttributes) {
+  constexpr int kUpdates = 300;
+  ASSERT_TRUE(db_->CreateAtomType("Pair", {{"a", AttrType::kInt},
+                                           {"b", AttrType::kInt}})
+                  .ok());
+  AtomId id = db_->InsertAtom("Pair",
+                              {{"a", Value::Int(0)}, {"b", Value::Int(0)}},
+                              10)
+                  .value();
+  std::atomic<int> failures{0};
+  auto writer = [&](const std::string& attr) {
+    for (int i = 1; i <= kUpdates; ++i) {
+      Status s = db_->UpdateAtom("Pair", id, {{attr, Value::Int(i)}},
+                                 db_->Now(), /*from_now=*/true);
+      if (!s.ok()) failures.fetch_add(1);
+    }
+  };
+  std::thread ta(writer, "a"), tb(writer, "b");
+  ta.join();
+  tb.join();
+  EXPECT_EQ(failures.load(), 0);
+  const AtomTypeDef* type = db_->catalog().GetAtomTypeByName("Pair").value();
+  auto versions = db_->store()->GetVersions(*type, id, Interval::All());
+  ASSERT_TRUE(versions.ok()) << versions.status().ToString();
+  ASSERT_EQ(versions.value().size(), static_cast<size_t>(2 * kUpdates + 1));
+  int regressions = 0;
+  for (size_t i = 1; i < versions.value().size(); ++i) {
+    const auto& prev = versions.value()[i - 1].attrs;
+    const auto& cur = versions.value()[i].attrs;
+    if (cur[0].AsInt() < prev[0].AsInt() || cur[1].AsInt() < prev[1].AsInt()) {
+      ++regressions;
+    }
+  }
+  EXPECT_EQ(regressions, 0);
+  const auto& last = versions.value().back().attrs;
+  EXPECT_EQ(last[0].AsInt(), kUpdates);
+  EXPECT_EQ(last[1].AsInt(), kUpdates);
+}
+
+// Vacuum keeps every version an open transaction's snapshot can see:
+// the cutoff is held at the oldest open snapshot, so a buffered write
+// still finds the version its snapshot read.
+TEST_P(MvccTest, VacuumKeepsVersionsAnOpenSnapshotSees) {
+  AtomId emp = SeedMolecule();
+  Transaction txn = db_->Begin();
+  ASSERT_TRUE(
+      db_->UpdateAtom("Emp", emp, {{"salary", Value::Int(200)}}, 20).ok());
+  auto held = db_->VacuumBefore(25);
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_EQ(held.value(), 0u);
+  Status buffered =
+      txn.UpdateAtom("Emp", emp, {{"salary", Value::Int(300)}}, 30);
+  EXPECT_TRUE(buffered.ok()) << buffered.ToString();
+  // The auto-commit update after the snapshot still wins the conflict.
+  EXPECT_TRUE(txn.Commit().IsTxnConflict());
+  // With no transaction open the same vacuum removes the old version.
+  auto removed = db_->VacuumBefore(25);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(removed.value(), 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, MvccTest,

@@ -126,19 +126,36 @@ TEST_P(TStoreTest, MutationErrorCases) {
   EXPECT_TRUE(store_->Insert(type_, 1, Attrs("b", 2), 15).IsInvalidArgument());
 }
 
-TEST_P(TStoreTest, IdempotentReplay) {
+TEST_P(TStoreTest, ReappliedMutationIsRejected) {
+  auto history = [&] {
+    std::vector<std::pair<Interval, int64_t>> out;
+    auto versions = store_->GetVersions(type_, 1, Interval::All());
+    EXPECT_TRUE(versions.ok()) << versions.status().ToString();
+    if (!versions.ok()) return out;
+    for (const AtomVersion& v : versions.value()) {
+      out.emplace_back(v.valid, v.attrs[1].AsInt());
+    }
+    return out;
+  };
   ASSERT_TRUE(store_->Insert(type_, 1, Attrs("a", 1), 10).ok());
   ASSERT_TRUE(store_->Update(type_, 1, Attrs("b", 2), 20).ok());
+  auto live = history();
+  // A mutation at an instant that already holds its boundary is
+  // rejected, never acknowledged without effect — live atom first.
+  EXPECT_TRUE(store_->Insert(type_, 1, Attrs("a", 1), 10).IsAlreadyExists());
+  EXPECT_TRUE(
+      store_->Update(type_, 1, Attrs("c", 3), 20).IsInvalidArgument());
+  EXPECT_EQ(history(), live);
+
   ASSERT_TRUE(store_->Delete(type_, 1, 30).ok());
-  // Replaying the exact same operations must be accepted silently.
-  EXPECT_TRUE(store_->Insert(type_, 1, Attrs("a", 1), 10).ok());
-  EXPECT_TRUE(store_->Update(type_, 1, Attrs("b", 2), 20).ok());
-  EXPECT_TRUE(store_->Delete(type_, 1, 30).ok());
-  // State unchanged.
-  auto versions = store_->GetVersions(type_, 1, Interval::All()).value();
-  ASSERT_EQ(versions.size(), 2u);
-  EXPECT_EQ(versions[0].valid, Interval(10, 20));
-  EXPECT_EQ(versions[1].valid, Interval(20, 30));
+  auto dead = history();
+  ASSERT_EQ(dead.size(), 2u);
+  EXPECT_EQ(dead[0].first, Interval(10, 20));
+  EXPECT_EQ(dead[1].first, Interval(20, 30));
+  EXPECT_FALSE(store_->Insert(type_, 1, Attrs("a", 1), 10).ok());
+  EXPECT_FALSE(store_->Update(type_, 1, Attrs("b", 2), 20).ok());
+  EXPECT_FALSE(store_->Delete(type_, 1, 30).ok());
+  EXPECT_EQ(history(), dead);
 }
 
 TEST_P(TStoreTest, GetVersionsWindowFilters) {
