@@ -113,10 +113,11 @@ void BM_StreamingScan(benchmark::State& state) {
   double total_us = 0;
   size_t rows = 0;
   double peak_buffered = 0;
+  Session session = db->OpenSession();
   for (auto _ : state) {
     StopwatchUs timer;
     if (use_cursor) {
-      auto cursor = db->Query(mql);
+      auto cursor = session.Query(mql);
       BenchCheck(cursor.status(), "open cursor");
       std::vector<Value> row;
       auto first = cursor.value()->Next(&row);
@@ -132,7 +133,7 @@ void BM_StreamingScan(benchmark::State& state) {
       }
       cursor.value()->Close();
     } else {
-      auto result = db->Execute(mql);
+      auto result = session.Execute(mql);
       BenchCheck(result.status(), "execute");
       // The materialized surface has no earlier "first row" instant:
       // every row exists only once Execute returns.
@@ -141,7 +142,7 @@ void BM_StreamingScan(benchmark::State& state) {
     }
     total_us = timer.ElapsedUs();
     peak_buffered =
-        static_cast<double>(db->last_query_stats().peak_buffered_rows);
+        static_cast<double>(session.last_query_stats().peak_buffered_rows);
     benchmark::DoNotOptimize(rows);
   }
   state.counters["first_row_micros"] = first_row_us;

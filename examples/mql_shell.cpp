@@ -22,10 +22,14 @@
 //   .trace        flight recorder: on/off, or dump Perfetto JSON to FILE
 //   .health       show the degradation state and its cause
 //   .recover      try to return a read-only database to full service
-//   .begin        open the session transaction (same as BEGIN;)
-//   .commit       commit it (same as COMMIT;) — may report a conflict
-//   .abort        discard it (same as ABORT;)
+//   .begin        open a transaction in the shell's session (BEGIN;)
+//   .commit       commit it (COMMIT;) — may report a conflict
+//   .abort        discard it (ABORT;)
 //   .quit         exit
+//
+// The shell runs every statement in one session (Database::OpenSession),
+// so a transaction opened by BEGIN; spans the statements that follow it
+// and .timing reports the session's own last query.
 //
 // SELECT results stream: rows print as the engine produces them (a
 // cursor pulls 64 rows at a time), so the first rows of a huge history
@@ -121,7 +125,8 @@ void PrintTiering(Database* db) {
                                          space->index_pages));
 }
 
-bool HandleMeta(Database* db, const std::string& line, bool* timing) {
+bool HandleMeta(Database* db, Session* session, const std::string& line,
+                bool* timing) {
   if (line == ".help") {
     fputs(kHelp, stdout);
   } else if (line == ".timing") {
@@ -187,15 +192,13 @@ bool HandleMeta(Database* db, const std::string& line, bool* timing) {
     }
     printf("trace %s\n",
            db->trace_recorder()->is_enabled() ? "on" : "off");
-  } else if (line == ".begin") {
-    Status s = db->BeginSession();
-    printf("%s\n", s.ok() ? "transaction started" : s.ToString().c_str());
-  } else if (line == ".commit") {
-    Status s = db->CommitSession();
-    printf("%s\n", s.ok() ? "committed" : s.ToString().c_str());
-  } else if (line == ".abort") {
-    Status s = db->AbortSession();
-    printf("%s\n", s.ok() ? "aborted" : s.ToString().c_str());
+  } else if (line == ".begin" || line == ".commit" || line == ".abort") {
+    const char* stmt = line == ".begin"    ? "BEGIN;"
+                       : line == ".commit" ? "COMMIT;"
+                                           : "ABORT;";
+    auto r = session->Execute(stmt);
+    printf("%s\n", r.ok() ? r.value().message.c_str()
+                          : r.status().ToString().c_str());
   } else if (line == ".tiering") {
     PrintTiering(db);
   } else if (line == ".tier_migrate") {
@@ -226,8 +229,8 @@ void PrintRow(const std::vector<Value>& row) {
 
 /// Runs one statement through the cursor API, printing rows as they
 /// stream in instead of waiting for the whole result.
-void RunStatement(Database* db, const std::string& mql, bool timing) {
-  auto opened = db->Query(mql);
+void RunStatement(Session* session, const std::string& mql, bool timing) {
+  auto opened = session->Query(mql);
   if (!opened.ok()) {
     printf("error: %s\n", opened.status().ToString().c_str());
     return;
@@ -260,7 +263,7 @@ void RunStatement(Database* db, const std::string& mql, bool timing) {
   if (!cursor->message().empty()) printf("%s\n", cursor->message().c_str());
   cursor->Close();
   if (timing && tabular) {
-    const QueryStats& stats = db->last_query_stats();
+    const QueryStats& stats = session->last_query_stats();
     printf("first row %.1f us | total %.1f us | %llu rows streamed | "
            "peak buffered %llu rows\n",
            stats.first_row_us, stats.total_us,
@@ -298,6 +301,7 @@ int main(int argc, char** argv) {
          dir.c_str(), StorageStrategyName(db->options().strategy),
          db->options().read_only ? ", read-only" : "");
 
+  Session session = db->OpenSession();
   std::string buffer;
   bool timing = false;
   char line[4096];
@@ -317,7 +321,7 @@ int main(int argc, char** argv) {
       std::string trimmed = text.substr(start);
       if (trimmed == ".quit" || trimmed == ".exit") break;
       if (!trimmed.empty() && trimmed[0] == '.') {
-        HandleMeta(db.get(), trimmed, &timing);
+        HandleMeta(db.get(), &session, trimmed, &timing);
         continue;
       }
     }
@@ -327,7 +331,7 @@ int main(int argc, char** argv) {
       buffer += ' ';
       continue;  // statement continues on the next line
     }
-    RunStatement(db.get(), buffer, timing);
+    RunStatement(&session, buffer, timing);
     buffer.clear();
   }
   printf("bye\n");

@@ -60,7 +60,7 @@ int main() {
   };
 
   // Schema through the script API.
-  Must(db->ExecuteScript(R"(
+  Must(db->OpenSession().ExecuteScript(R"(
     CREATE ATOM_TYPE Site (name STRING, region STRING);
     CREATE ATOM_TYPE Sensor (serial STRING, status STRING, battery INT);
     CREATE LINK Hosts FROM Site TO Sensor;

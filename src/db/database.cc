@@ -15,7 +15,6 @@
 #include "query/cursor.h"
 #include "query/executor.h"
 #include "query/planner.h"
-#include "query/parser.h"
 #include "wal/log_record.h"
 
 namespace tcob {
@@ -40,14 +39,8 @@ Result<std::unique_ptr<Database>> Database::Open(
 }
 
 Database::~Database() {
-  // The session transaction dies with the instance (its buffered
-  // operations are discarded); any *external* Transaction still alive
-  // sees the token expire and degrades to FailedPrecondition instead
-  // of dereferencing freed components.
-  if (session_txn_ != nullptr) {
-    session_txn_->Abort();
-    session_txn_.reset();
-  }
+  // A Transaction still alive sees the token expire and degrades to
+  // FailedPrecondition instead of dereferencing freed components.
   alive_token_.reset();
   if (!initialized_) {
     // Open failed partway; the directory's contents are untrusted and
@@ -717,37 +710,6 @@ Status Database::CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
   return Status::OK();
 }
 
-Status Database::BeginSession() {
-  {
-    std::lock_guard<std::mutex> lk(writer_mu_);
-    TCOB_RETURN_NOT_OK(CheckWritable());
-  }
-  if (InSessionTxn()) {
-    return Status::InvalidArgument(
-        "a transaction is already open; COMMIT or ABORT it first");
-  }
-  session_txn_.reset(new Transaction(Begin()));
-  return Status::OK();
-}
-
-Status Database::CommitSession() {
-  if (!InSessionTxn()) {
-    return Status::InvalidArgument("no open transaction");
-  }
-  Status committed = session_txn_->Commit();
-  session_txn_.reset();
-  return committed;
-}
-
-Status Database::AbortSession() {
-  if (!InSessionTxn()) {
-    return Status::InvalidArgument("no open transaction");
-  }
-  session_txn_->Abort();
-  session_txn_.reset();
-  return Status::OK();
-}
-
 // ---- DDL ----
 
 // The catalog save is atomic (temp file + rename + directory sync), so
@@ -983,48 +945,6 @@ Status Database::Disconnect(const std::string& link_name, AtomId from_id,
 
 // ---- queries ----
 
-Result<ResultSet> Database::Execute(const std::string& mql) {
-  StopwatchUs parse_timer;
-  TCOB_ASSIGN_OR_RETURN(Statement stmt, Parser::Parse(mql));
-  double parse_us = parse_timer.ElapsedUs();
-  return ExecuteStatementImpl(stmt, &mql, parse_us);
-}
-
-Result<std::vector<ResultSet>> Database::ExecuteScript(
-    const std::string& mql) {
-  TCOB_ASSIGN_OR_RETURN(std::vector<Statement> stmts,
-                        Parser::ParseScript(mql));
-  std::vector<ResultSet> out;
-  out.reserve(stmts.size());
-  for (const Statement& stmt : stmts) {
-    TCOB_ASSIGN_OR_RETURN(ResultSet result, ExecuteStatement(stmt));
-    out.push_back(std::move(result));
-  }
-  return out;
-}
-
-Result<ResultSet> Database::ExecuteStatement(const Statement& stmt) {
-  return ExecuteStatementImpl(stmt, nullptr, 0.0);
-}
-
-Result<ResultSet> Database::Explain(const std::string& select_mql,
-                                    bool analyze) {
-  StopwatchUs parse_timer;
-  TCOB_ASSIGN_OR_RETURN(Statement stmt, Parser::Parse(select_mql));
-  double parse_us = parse_timer.ElapsedUs();
-  if (SelectStmt* select = std::get_if<SelectStmt>(&stmt)) {
-    ExplainStmt explain;
-    explain.select = std::move(*select);
-    explain.analyze = analyze;
-    return ExecuteStatementImpl(Statement(std::move(explain)), &select_mql,
-                                parse_us);
-  }
-  if (std::holds_alternative<ExplainStmt>(stmt)) {
-    return ExecuteStatementImpl(stmt, &select_mql, parse_us);
-  }
-  return Status::InvalidArgument("Explain expects a SELECT statement");
-}
-
 /// Everything one SELECT cursor's execution needs alive until it is
 /// finalized: the statement copy, the trace, the query's work block, and
 /// the materializer/executor pair the producer thread runs against.
@@ -1056,55 +976,22 @@ struct Database::SelectCursorContext {
   SelectPlan plan;
 };
 
-Result<std::unique_ptr<Cursor>> Database::Query(const std::string& mql) {
-  StopwatchUs parse_timer;
-  TCOB_ASSIGN_OR_RETURN(Statement stmt, Parser::Parse(mql));
-  double parse_us = parse_timer.ElapsedUs();
-  if (const SelectStmt* select = std::get_if<SelectStmt>(&stmt)) {
-    statements_total_.Increment();
-    return NewSelectCursor(*select, &mql, parse_us);
-  }
-  // Non-SELECT statements execute eagerly; the cursor carries the
-  // finished result (DML messages, EXPLAIN tables, SHOW output).
-  TCOB_ASSIGN_OR_RETURN(ResultSet out,
-                        ExecuteStatementImpl(stmt, &mql, parse_us));
-  return std::unique_ptr<Cursor>(new MaterializedCursor(std::move(out)));
-}
-
-Result<ResultSet> Database::ExecuteSelect(const SelectStmt& stmt,
-                                          const std::string* text,
-                                          double parse_us,
-                                          QueryStats* stats) {
-  TCOB_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor,
-                        NewSelectCursor(stmt, text, parse_us, stats));
-  ResultSet out;
-  out.columns = cursor->columns();
-  out.message = cursor->message();
-  std::vector<Value> row;
-  for (;;) {
-    // The end of the stream (or its error) finalizes the trace.
-    TCOB_ASSIGN_OR_RETURN(bool more, cursor->Next(&row));
-    if (!more) return out;
-    out.rows.push_back(std::move(row));
-  }
-}
-
 Result<std::unique_ptr<Cursor>> Database::NewSelectCursor(
     const SelectStmt& stmt, const std::string* text, double parse_us,
-    QueryStats* stats) {
+    QueryStats* stats, const Transaction* txn) {
   TCOB_RETURN_NOT_OK(CheckReadable());
   auto ctx = std::make_shared<SelectCursorContext>();
   ctx->stats_out = stats;
   // The cursor may outlive the caller's statement (Query returns before
   // the rows are pulled), so the context owns a deep copy.
   ctx->stmt = CloneSelect(stmt);
-  // Inside the session transaction every read is pinned to its
-  // snapshot: NOW resolves to the snapshot instant, and an explicit
-  // VALID AT later than the snapshot is clamped back to it, so the
-  // transaction can never observe a concurrent committer.
+  // Inside a transaction every read is pinned to its snapshot: NOW
+  // resolves to the snapshot instant, and an explicit VALID AT later
+  // than the snapshot is clamped back to it, so the transaction can
+  // never observe a concurrent committer.
   Timestamp exec_now = Now();
-  if (InSessionTxn()) {
-    const Timestamp snapshot = session_txn_->snapshot();
+  if (txn != nullptr) {
+    const Timestamp snapshot = txn->snapshot();
     exec_now = snapshot;
     if (ctx->stmt.mode == TemporalMode::kAsOf && !ctx->stmt.at_now &&
         ctx->stmt.at > snapshot) {
@@ -1230,285 +1117,95 @@ void Database::FinalizeSelectTrace(SelectCursorContext* ctx) {
                     << " | peak mem: " << trace.peak_memory_bytes << "B";
   }
   if (ctx->stats_out != nullptr) *ctx->stats_out = trace;
-  std::lock_guard<std::mutex> lock(last_query_stats_mu_);
-  last_query_stats_ = trace;
 }
 
-Result<ResultSet> Database::ExecuteStatementImpl(const Statement& stmt,
-                                                 const std::string* text,
-                                                 double parse_us) {
-  TCOB_RETURN_NOT_OK(CheckReadable());
-  statements_total_.Increment();
-  using R = Result<ResultSet>;
-  return std::visit(
-      [&](const auto& s) -> R {
-        using T = std::decay_t<decltype(s)>;
-        ResultSet out;
-        if constexpr (std::is_same_v<T, SelectStmt>) {
-          return ExecuteSelect(s, text, parse_us);
-        } else if constexpr (std::is_same_v<T, ExplainStmt>) {
-          if (s.analyze) {
-            // Execute the query under the trace, then return the trace
-            // (not the rows) — the EXPLAIN ANALYZE contract.
-            QueryStats stats;
-            TCOB_RETURN_NOT_OK(
-                ExecuteSelect(s.select, text, parse_us, &stats).status());
-            return stats.ToResultSet();
-          }
-          Materializer mat(&catalog_, store_.get(), links_.get(), query_pool_.get());
-          const Timestamp explain_now =
-              InSessionTxn() ? session_txn_->snapshot() : Now();
-          SelectExecutor exec(&catalog_, &mat, explain_now,
-                              attr_indexes_.get());
-          return exec.Explain(s.select);
-        } else if constexpr (std::is_same_v<T, CreateIndexStmt>) {
-          TCOB_ASSIGN_OR_RETURN(
-              IndexId id, CreateAttrIndex(s.name, s.type_name, s.attr_name));
-          out.message = "created index " + s.name + " (id " +
-                        std::to_string(id) + ")";
-          return out;
-        } else if constexpr (std::is_same_v<T, CreateAtomTypeStmt>) {
-          std::vector<AttributeDef> attrs;
-          for (const auto& [name, type] : s.attributes) {
-            attrs.push_back(AttributeDef{name, type});
-          }
-          TCOB_ASSIGN_OR_RETURN(TypeId id,
-                                CreateAtomType(s.name, std::move(attrs)));
-          out.message = "created atom type " + s.name + " (id " +
-                        std::to_string(id) + ")";
-          return out;
-        } else if constexpr (std::is_same_v<T, CreateLinkStmt>) {
-          TCOB_ASSIGN_OR_RETURN(
-              LinkTypeId id, CreateLinkType(s.name, s.from_type, s.to_type));
-          out.message = "created link type " + s.name + " (id " +
-                        std::to_string(id) + ")";
-          return out;
-        } else if constexpr (std::is_same_v<T, CreateMoleculeTypeStmt>) {
-          TCOB_ASSIGN_OR_RETURN(
-              MoleculeTypeId id,
-              CreateMoleculeType(s.name, s.root_type, s.edges));
-          out.message = "created molecule type " + s.name + " (id " +
-                        std::to_string(id) + ")";
-          return out;
-        } else if constexpr (std::is_same_v<T, InsertStmt>) {
-          // NOW is resolved against the session transaction's pinned
-          // clock for the buffered message; the definitive stamp is
-          // assigned at commit (transaction) or under the writer mutex
-          // (auto-commit) via WalOp::stamped_now.
-          if (InSessionTxn()) {
-            Timestamp from =
-                s.from.is_now ? session_txn_->local_now() : s.from.at;
-            TCOB_ASSIGN_OR_RETURN(
-                AtomId id,
-                session_txn_->InsertAtom(s.type_name, s.assignments, from,
-                                         s.from.is_now));
-            out.inserted_id = id;
-            out.message = "buffered insert of atom #" + std::to_string(id) +
-                          " valid from " + TimestampToString(from) +
-                          " (transaction " +
-                          std::to_string(session_txn_->id()) + ")";
-            return out;
-          }
-          Timestamp from = s.from.is_now ? Now() : s.from.at;
-          TCOB_ASSIGN_OR_RETURN(
-              AtomId id,
-              InsertAtom(s.type_name, s.assignments, from, s.from.is_now));
-          out.inserted_id = id;
-          out.message = "inserted atom #" + std::to_string(id) +
-                        " valid from " + TimestampToString(from);
-          return out;
-        } else if constexpr (std::is_same_v<T, UpdateStmt>) {
-          if (InSessionTxn()) {
-            Timestamp from =
-                s.from.is_now ? session_txn_->local_now() : s.from.at;
-            TCOB_RETURN_NOT_OK(session_txn_->UpdateAtom(
-                s.type_name, s.atom_id, s.assignments, from, s.from.is_now));
-            out.message = "buffered update of atom #" +
-                          std::to_string(s.atom_id) + " valid from " +
-                          TimestampToString(from) + " (transaction " +
-                          std::to_string(session_txn_->id()) + ")";
-            return out;
-          }
-          Timestamp from = s.from.is_now ? Now() : s.from.at;
-          TCOB_RETURN_NOT_OK(UpdateAtom(s.type_name, s.atom_id, s.assignments,
-                                        from, s.from.is_now));
-          out.message = "updated atom #" + std::to_string(s.atom_id) +
-                        " valid from " + TimestampToString(from);
-          return out;
-        } else if constexpr (std::is_same_v<T, DeleteStmt>) {
-          if (InSessionTxn()) {
-            Timestamp from =
-                s.from.is_now ? session_txn_->local_now() : s.from.at;
-            TCOB_RETURN_NOT_OK(session_txn_->DeleteAtom(
-                s.type_name, s.atom_id, from, s.from.is_now));
-            out.message = "buffered delete of atom #" +
-                          std::to_string(s.atom_id) + " valid from " +
-                          TimestampToString(from) + " (transaction " +
-                          std::to_string(session_txn_->id()) + ")";
-            return out;
-          }
-          Timestamp from = s.from.is_now ? Now() : s.from.at;
-          TCOB_RETURN_NOT_OK(
-              DeleteAtom(s.type_name, s.atom_id, from, s.from.is_now));
-          out.message = "deleted atom #" + std::to_string(s.atom_id) +
-                        " valid from " + TimestampToString(from);
-          return out;
-        } else if constexpr (std::is_same_v<T, ConnectStmt>) {
-          if (InSessionTxn()) {
-            Timestamp at =
-                s.from.is_now ? session_txn_->local_now() : s.from.at;
-            TCOB_RETURN_NOT_OK(session_txn_->Connect(
-                s.link_name, s.from_id, s.to_id, at, s.from.is_now));
-            out.message = "buffered connect (transaction " +
-                          std::to_string(session_txn_->id()) + ")";
-            return out;
-          }
-          Timestamp at = s.from.is_now ? Now() : s.from.at;
-          TCOB_RETURN_NOT_OK(
-              Connect(s.link_name, s.from_id, s.to_id, at, s.from.is_now));
-          out.message = "connected";
-          return out;
-        } else if constexpr (std::is_same_v<T, DisconnectStmt>) {
-          if (InSessionTxn()) {
-            Timestamp at =
-                s.from.is_now ? session_txn_->local_now() : s.from.at;
-            TCOB_RETURN_NOT_OK(session_txn_->Disconnect(
-                s.link_name, s.from_id, s.to_id, at, s.from.is_now));
-            out.message = "buffered disconnect (transaction " +
-                          std::to_string(session_txn_->id()) + ")";
-            return out;
-          }
-          Timestamp at = s.from.is_now ? Now() : s.from.at;
-          TCOB_RETURN_NOT_OK(
-              Disconnect(s.link_name, s.from_id, s.to_id, at, s.from.is_now));
-          out.message = "disconnected";
-          return out;
-        } else if constexpr (std::is_same_v<T, BeginStmt>) {
-          TCOB_RETURN_NOT_OK(BeginSession());
-          out.message = "transaction " +
-                        std::to_string(session_txn_->id()) + " started";
-          return out;
-        } else if constexpr (std::is_same_v<T, CommitStmt>) {
-          if (!InSessionTxn()) {
-            return Status::InvalidArgument("no open transaction");
-          }
-          const uint64_t txn_id = session_txn_->id();
-          const size_t buffered = session_txn_->pending_ops();
-          TCOB_RETURN_NOT_OK(CommitSession());
-          out.message = "transaction " + std::to_string(txn_id) +
-                        " committed (" + std::to_string(buffered) +
-                        " operation(s))";
-          return out;
-        } else if constexpr (std::is_same_v<T, AbortStmt>) {
-          if (!InSessionTxn()) {
-            return Status::InvalidArgument("no open transaction");
-          }
-          const uint64_t txn_id = session_txn_->id();
-          TCOB_RETURN_NOT_OK(AbortSession());
-          out.message = "transaction " + std::to_string(txn_id) + " aborted";
-          return out;
-        } else if constexpr (std::is_same_v<T, ShowStatsStmt>) {
-          out.columns = {"METRIC", "VALUE"};
-          auto add = [&out](const std::string& metric, int64_t value) {
-            out.rows.push_back(
-                {Value::String(metric), Value::Int(value)});
-          };
-          add("clock_now", now_);
-          add("strategy",
-              static_cast<int64_t>(options_.strategy));
-          out.rows.back()[1] =
-              Value::String(StorageStrategyName(options_.strategy));
-          TCOB_ASSIGN_OR_RETURN(StoreSpaceStats space, store_->SpaceStats());
-          add("store_heap_pages", static_cast<int64_t>(space.heap_pages));
-          add("store_index_pages", static_cast<int64_t>(space.index_pages));
-          add("store_total_bytes", static_cast<int64_t>(space.total_bytes));
-          TCOB_ASSIGN_OR_RETURN(uint64_t link_pages, links_->TotalPages());
-          add("link_pages", static_cast<int64_t>(link_pages));
-          TCOB_ASSIGN_OR_RETURN(uint64_t idx_pages,
-                                attr_indexes_->TotalPages());
-          add("attr_index_pages", static_cast<int64_t>(idx_pages));
-          const BufferPoolStats& pool = pool_->stats();
-          add("pool_capacity_pages", static_cast<int64_t>(pool_->capacity()));
-          add("pool_fetches", static_cast<int64_t>(pool.fetches));
-          add("pool_hits", static_cast<int64_t>(pool.hits));
-          add("pool_evictions", static_cast<int64_t>(pool.evictions));
-          const DiskStats& disk = disk_->stats();
-          add("disk_reads", static_cast<int64_t>(disk.reads));
-          add("disk_writes", static_cast<int64_t>(disk.writes));
-          TCOB_ASSIGN_OR_RETURN(uint64_t wal_bytes, wal_->SizeBytes());
-          add("wal_bytes", static_cast<int64_t>(wal_bytes));
-          if (cold_tier_ != nullptr) {
-            ColdSpaceStats cold;
-            for (const AtomTypeDef* t : catalog_.AtomTypes()) {
-              TCOB_ASSIGN_OR_RETURN(ColdSpaceStats cs,
-                                    cold_tier_->SpaceStats(*t));
-              cold.segments += cs.segments;
-              cold.versions += cs.versions;
-              cold.blob_bytes += cs.blob_bytes;
-              cold.total_pages += cs.total_pages;
-            }
-            add("cold_segments", static_cast<int64_t>(cold.segments));
-            add("cold_versions", static_cast<int64_t>(cold.versions));
-            add("cold_blob_bytes", static_cast<int64_t>(cold.blob_bytes));
-            add("cold_pages", static_cast<int64_t>(cold.total_pages));
-          }
-          return out;
-        } else if constexpr (std::is_same_v<T, VacuumStmt>) {
-          TCOB_ASSIGN_OR_RETURN(uint64_t removed, VacuumBefore(s.before));
-          out.message = "vacuumed " + std::to_string(removed) +
-                        " version(s) before " + TimestampToString(s.before);
-          return out;
-        } else if constexpr (std::is_same_v<T, ShowCatalogStmt>) {
-          out.columns = {"KIND", "NAME", "DETAIL"};
-          for (const AtomTypeDef* t : catalog_.AtomTypes()) {
-            std::string detail;
-            for (size_t i = 0; i < t->attributes.size(); ++i) {
-              if (i) detail += ", ";
-              detail += t->attributes[i].name + " " +
-                        AttrTypeName(t->attributes[i].type);
-            }
-            out.rows.push_back({Value::String("ATOM_TYPE"),
-                                Value::String(t->name),
-                                Value::String(detail)});
-          }
-          for (const LinkTypeDef* l : catalog_.LinkTypes()) {
-            const AtomTypeDef* from = nullptr;
-            const AtomTypeDef* to = nullptr;
-            Result<const AtomTypeDef*> rf = catalog_.GetAtomType(l->from_type);
-            Result<const AtomTypeDef*> rt = catalog_.GetAtomType(l->to_type);
-            if (rf.ok()) from = rf.value();
-            if (rt.ok()) to = rt.value();
-            out.rows.push_back(
-                {Value::String("LINK"), Value::String(l->name),
-                 Value::String((from ? from->name : "?") + " -> " +
-                               (to ? to->name : "?"))});
-          }
-          for (const AttrIndexDef* idx : catalog_.AttrIndexes()) {
-            Result<const AtomTypeDef*> t = catalog_.GetAtomType(idx->atom_type);
-            std::string detail = "?";
-            if (t.ok()) {
-              detail = t.value()->name + "." +
-                       t.value()->attributes[idx->attr_pos].name;
-            }
-            out.rows.push_back({Value::String("INDEX"),
-                                Value::String(idx->name),
-                                Value::String(detail)});
-          }
-          for (const MoleculeTypeDef* m : catalog_.MoleculeTypes()) {
-            Result<const AtomTypeDef*> root =
-                catalog_.GetAtomType(m->root_type);
-            out.rows.push_back(
-                {Value::String("MOLECULE_TYPE"), Value::String(m->name),
-                 Value::String("root " +
-                               (root.ok() ? root.value()->name : "?") + ", " +
-                               std::to_string(m->edges.size()) + " edge(s)")});
-          }
-          return out;
-        } else {
-          return Status::NotSupported("unhandled statement kind");
-        }
-      },
-      stmt);
+Result<ResultSet> Database::ShowStats() {
+  ResultSet out;
+  out.columns = {"METRIC", "VALUE"};
+  auto add = [&out](const std::string& metric, int64_t value) {
+    out.rows.push_back({Value::String(metric), Value::Int(value)});
+  };
+  add("clock_now", now_);
+  add("strategy", static_cast<int64_t>(options_.strategy));
+  out.rows.back()[1] = Value::String(StorageStrategyName(options_.strategy));
+  TCOB_ASSIGN_OR_RETURN(StoreSpaceStats space, store_->SpaceStats());
+  add("store_heap_pages", static_cast<int64_t>(space.heap_pages));
+  add("store_index_pages", static_cast<int64_t>(space.index_pages));
+  add("store_total_bytes", static_cast<int64_t>(space.total_bytes));
+  TCOB_ASSIGN_OR_RETURN(uint64_t link_pages, links_->TotalPages());
+  add("link_pages", static_cast<int64_t>(link_pages));
+  TCOB_ASSIGN_OR_RETURN(uint64_t idx_pages, attr_indexes_->TotalPages());
+  add("attr_index_pages", static_cast<int64_t>(idx_pages));
+  const BufferPoolStats& pool = pool_->stats();
+  add("pool_capacity_pages", static_cast<int64_t>(pool_->capacity()));
+  add("pool_fetches", static_cast<int64_t>(pool.fetches));
+  add("pool_hits", static_cast<int64_t>(pool.hits));
+  add("pool_evictions", static_cast<int64_t>(pool.evictions));
+  const DiskStats& disk = disk_->stats();
+  add("disk_reads", static_cast<int64_t>(disk.reads));
+  add("disk_writes", static_cast<int64_t>(disk.writes));
+  TCOB_ASSIGN_OR_RETURN(uint64_t wal_bytes, wal_->SizeBytes());
+  add("wal_bytes", static_cast<int64_t>(wal_bytes));
+  if (cold_tier_ != nullptr) {
+    ColdSpaceStats cold;
+    for (const AtomTypeDef* t : catalog_.AtomTypes()) {
+      TCOB_ASSIGN_OR_RETURN(ColdSpaceStats cs, cold_tier_->SpaceStats(*t));
+      cold.segments += cs.segments;
+      cold.versions += cs.versions;
+      cold.blob_bytes += cs.blob_bytes;
+      cold.total_pages += cs.total_pages;
+    }
+    add("cold_segments", static_cast<int64_t>(cold.segments));
+    add("cold_versions", static_cast<int64_t>(cold.versions));
+    add("cold_blob_bytes", static_cast<int64_t>(cold.blob_bytes));
+    add("cold_pages", static_cast<int64_t>(cold.total_pages));
+  }
+  return out;
+}
+
+ResultSet Database::ShowCatalog() const {
+  ResultSet out;
+  out.columns = {"KIND", "NAME", "DETAIL"};
+  for (const AtomTypeDef* t : catalog_.AtomTypes()) {
+    std::string detail;
+    for (size_t i = 0; i < t->attributes.size(); ++i) {
+      if (i) detail += ", ";
+      detail += t->attributes[i].name + " " +
+                AttrTypeName(t->attributes[i].type);
+    }
+    out.rows.push_back({Value::String("ATOM_TYPE"), Value::String(t->name),
+                        Value::String(detail)});
+  }
+  for (const LinkTypeDef* l : catalog_.LinkTypes()) {
+    const AtomTypeDef* from = nullptr;
+    const AtomTypeDef* to = nullptr;
+    Result<const AtomTypeDef*> rf = catalog_.GetAtomType(l->from_type);
+    Result<const AtomTypeDef*> rt = catalog_.GetAtomType(l->to_type);
+    if (rf.ok()) from = rf.value();
+    if (rt.ok()) to = rt.value();
+    out.rows.push_back(
+        {Value::String("LINK"), Value::String(l->name),
+         Value::String((from ? from->name : "?") + " -> " +
+                       (to ? to->name : "?"))});
+  }
+  for (const AttrIndexDef* idx : catalog_.AttrIndexes()) {
+    Result<const AtomTypeDef*> t = catalog_.GetAtomType(idx->atom_type);
+    std::string detail = "?";
+    if (t.ok()) {
+      detail =
+          t.value()->name + "." + t.value()->attributes[idx->attr_pos].name;
+    }
+    out.rows.push_back({Value::String("INDEX"), Value::String(idx->name),
+                        Value::String(detail)});
+  }
+  for (const MoleculeTypeDef* m : catalog_.MoleculeTypes()) {
+    Result<const AtomTypeDef*> root = catalog_.GetAtomType(m->root_type);
+    out.rows.push_back(
+        {Value::String("MOLECULE_TYPE"), Value::String(m->name),
+         Value::String("root " + (root.ok() ? root.value()->name : "?") +
+                       ", " + std::to_string(m->edges.size()) + " edge(s)")});
+  }
+  return out;
 }
 
 // ---- maintenance ----

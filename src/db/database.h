@@ -15,6 +15,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "common/trace_ring.h"
+#include "db/session.h"
 #include "db/transaction.h"
 #include "db/txn_manager.h"
 #include "index/attr_index.h"
@@ -172,8 +173,8 @@ struct RecoveryStats {
 /// A Database owns one directory of files: the catalog, the WAL, and the
 /// files of the chosen storage strategy. All DML is valid-time stamped;
 /// every mutation is WAL-logged before being applied, and Open replays
-/// the log tail after a crash. Execution is single-threaded (one thread
-/// per Database instance).
+/// the log tail after a crash. A Database is shared across threads;
+/// each Session, Cursor or Transaction is used by one thread at a time.
 ///
 /// Typical use:
 ///   TCOB_ASSIGN_OR_RETURN(auto db, Database::Open("/data/hr", {}));
@@ -226,18 +227,12 @@ class Database {
   /// gets TxnConflict). Commits group their WAL fsyncs.
   Transaction Begin();
 
-  /// The MQL transaction surface (BEGIN; / COMMIT; / ABORT; statements
-  /// and the shell's .begin/.commit/.abort): at most one *session*
-  /// transaction per Database. While it is open, DML statements buffer
-  /// into it and SELECTs pin its snapshot.
-  Status BeginSession();
-  Status CommitSession();
-  Status AbortSession();
-  bool InSessionTxn() const {
-    return session_txn_ != nullptr && session_txn_->active();
-  }
+  /// Opens a caller's MQL session (see session.h): BEGIN; / COMMIT; /
+  /// ABORT; act on its own transaction, and it keeps its own last
+  /// query trace. It must not outlive this Database.
+  Session OpenSession() { return Session(this, /*temporary=*/false); }
 
-  /// Number of explicit transactions currently open (session or
+  /// Number of explicit transactions currently open (a session's or
   /// programmatic); introspection for tests and the degradation paths.
   size_t ActiveTxns() const { return txn_manager_.active_txns(); }
 
@@ -280,50 +275,18 @@ class Database {
 
   // ---- queries ----
 
-  /// Parses and executes one MQL statement.
-  ///
-  /// Implemented as Query() drained to completion, so its results are
-  /// byte-identical to pulling the cursor yourself — this is just the
-  /// convenient materialized surface.
-  Result<ResultSet> Execute(const std::string& mql);
-
-  /// Parses one MQL statement and opens a pull cursor over its result
-  /// (see cursor.h for the lifecycle contract). A SELECT streams: a
-  /// producer thread runs the executor pipeline against a bounded queue,
-  /// so the first row is available while the rest are still being made.
-  /// Without aggregates or ORDER BY, buffered memory stays flat no
-  /// matter the result size; those stages hold their groups or the rows
-  /// to sort. Non-SELECT statements execute eagerly and return a cursor
-  /// over the finished result.
-  /// Drain or Close the cursor before the next statement on this
-  /// Database, and before destroying it.
-  Result<std::unique_ptr<Cursor>> Query(const std::string& mql);
-
-  /// Parses and executes a ';'-separated MQL script, stopping at the
-  /// first error; returns one ResultSet per executed statement.
-  Result<std::vector<ResultSet>> ExecuteScript(const std::string& mql);
-
-  /// Executes a pre-parsed statement.
-  Result<ResultSet> ExecuteStatement(const Statement& stmt);
+  /// Session::Execute and Session::Query on a temporary auto-commit
+  /// session that keeps no trace. BEGIN is refused with InvalidArgument:
+  /// the transaction would end with the call (use OpenSession()). Drain
+  /// or Close a cursor before destroying this Database.
+  Result<ResultSet> Execute(const std::string& mql) {
+    return Session(this, /*temporary=*/true).Execute(mql);
+  }
+  Result<std::unique_ptr<Cursor>> Query(const std::string& mql) {
+    return Session(this, /*temporary=*/true).Query(mql);
+  }
 
   // ---- observability ----
-
-  /// Explains `select_mql` (a SELECT, or an already EXPLAIN-wrapped
-  /// statement). With `analyze` the query executes and the result is the
-  /// full trace (per-operator wall time, store accesses, version-cache
-  /// and buffer-pool hit rates, per-worker fan-out timings); without it,
-  /// only the static plan is reported.
-  Result<ResultSet> Explain(const std::string& select_mql,
-                            bool analyze = true);
-
-  /// A copy of the trace of the most recently finished SELECT (plain
-  /// SELECTs and EXPLAIN ANALYZE alike). Safe to call from any thread;
-  /// with queries running concurrently, "most recent" is whichever
-  /// finished last — EXPLAIN ANALYZE reports its own query's trace.
-  QueryStats last_query_stats() const {
-    std::lock_guard<std::mutex> lock(last_query_stats_mu_);
-    return last_query_stats_;
-  }
 
   /// Point-in-time copy of every registered metric of this database:
   /// store/pool/disk/WAL counters, query counters and latency histogram,
@@ -469,6 +432,7 @@ class Database {
       const std::vector<Value>* base);
 
  private:
+  friend class Session;
   friend class Transaction;
   // Dump/restore needs the logical-apply path and catalog installation.
   friend Status ExportDump(Database* db, const std::string& path);
@@ -502,34 +466,28 @@ class Database {
   /// Wires every component's counters into metrics_ (end of Init).
   void RegisterMetrics();
 
-  /// ExecuteStatement with query-text context: `text` (may be null) and
-  /// `parse_us` flow into the SELECT trace.
-  Result<ResultSet> ExecuteStatementImpl(const Statement& stmt,
-                                         const std::string* text,
-                                         double parse_us);
-
-  /// Traced SELECT execution: opens a cursor via NewSelectCursor and
-  /// drains it. `stats` (may be null) receives this query's trace.
-  Result<ResultSet> ExecuteSelect(const SelectStmt& stmt,
-                                  const std::string* text, double parse_us,
-                                  QueryStats* stats = nullptr);
+  /// SHOW STATS; and SHOW CATALOG; results.
+  Result<ResultSet> ShowStats();
+  ResultSet ShowCatalog() const;
 
   /// Execution state of one SELECT cursor (the executor, its trace, its
   /// work block); lives until the cursor is finalized.
   struct SelectCursorContext;
 
   /// Opens a cursor over a SELECT: the executor pipeline behind a
-  /// producer thread. The query trace is finalized (storage work,
-  /// metrics, slow-query log, last_query_stats_, `*stats` when non-null)
-  /// exactly once, when the cursor finishes.
+  /// producer thread. Inside `txn` (may be null) NOW is its snapshot
+  /// and a later VALID AT is clamped back to it. The query trace is
+  /// finalized (storage work, metrics, slow-query log, `*stats` when
+  /// non-null) exactly once, when the cursor finishes.
   Result<std::unique_ptr<Cursor>> NewSelectCursor(const SelectStmt& stmt,
                                                   const std::string* text,
                                                   double parse_us,
-                                                  QueryStats* stats = nullptr);
+                                                  QueryStats* stats,
+                                                  const Transaction* txn);
 
   /// Stamps the query's storage work and total time into the trace,
-  /// updates the query metrics and slow-query log, hands the trace to
-  /// the query's stats_out, and publishes it as last_query_stats_.
+  /// updates the query metrics and slow-query log, and hands the trace
+  /// to the query's stats_out.
   void FinalizeSelectTrace(SelectCursorContext* ctx);
 
   /// Applies one logical operation to the stores (DML path and replay).
@@ -638,8 +596,6 @@ class Database {
   ResourceBudget memory_budget_{options_.memory_budget_bytes};
   /// Admission gate; disabled when options_.max_inflight_queries == 0.
   AdmissionController admission_{options_.max_inflight_queries};
-  mutable std::mutex last_query_stats_mu_;
-  QueryStats last_query_stats_;  // guarded by last_query_stats_mu_
   Catalog catalog_;
   /// Declared before disk_: the manager holds a raw pointer into it.
   std::unique_ptr<PageJournal> journal_;
@@ -667,8 +623,6 @@ class Database {
   /// first thing in the destructor, so a Transaction that outlives this
   /// Database degrades to FailedPrecondition instead of dangling.
   std::shared_ptr<void> alive_token_ = std::make_shared<int>(0);
-  /// The MQL session transaction (BEGIN;..COMMIT;), when one is open.
-  std::unique_ptr<Transaction> session_txn_;
   std::atomic<Timestamp> now_{1};
   /// Transaction ids are not persisted, so Recover() advances this past
   /// every txn id observed in the WAL: a fresh id may otherwise collide

@@ -37,7 +37,7 @@ class Database;
 /// buffer without a trace.
 ///
 /// Reads through the Database during an open transaction see committed
-/// state only; SELECTs routed through the session transaction pin its
+/// state only; SELECTs a Session runs inside its transaction pin its
 /// snapshot (concurrent commits stay invisible until this transaction
 /// ends). The atom timelines themselves serve as the version chain —
 /// a snapshot read is simply a time-slice at the snapshot instant.

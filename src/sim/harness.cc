@@ -646,7 +646,8 @@ std::optional<std::string> ExecQuery(Instance* inst, const SimSchema& schema,
   }
   SimModel::QueryExpectation expect = inst->model.ExpectedRows(op);
   std::string mql = QueryToMql(schema, op);
-  Result<ResultSet> r = inst->db->Execute(mql);
+  Session session = inst->db->OpenSession();
+  Result<ResultSet> r = session.Execute(mql);
 
   if (expect.expect_error) {
     const char* want =
@@ -709,7 +710,7 @@ std::optional<std::string> ExecQuery(Instance* inst, const SimSchema& schema,
   }
 
   if (options.check_metrics) {
-    const QueryStats& qs = inst->db->last_query_stats();
+    const QueryStats& qs = session.last_query_stats();
     if (qs.rows != rs.rows.size()) {
       return "trace rows counter " + std::to_string(qs.rows) +
              " != result rows " + std::to_string(rs.rows.size());
@@ -738,8 +739,6 @@ std::optional<std::string> ExecQuery(Instance* inst, const SimSchema& schema,
       return "execute span exceeds total span beyond timer slack";
     }
   }
-  // Last: the cursor re-run overwrites last_query_stats, so the metrics
-  // checks above must already have read the materialized run's trace.
   if (options.check_cursors) {
     return CursorCrossCheck(inst, mql, rs);
   }

@@ -67,7 +67,7 @@ class CorruptionTest : public ::testing::TestWithParam<StorageStrategy> {
 
   void Populate() {
     auto db = Database::Open(db_dir(), Options()).value();
-    auto results = db->ExecuteScript(kWorkload);
+    auto results = db->OpenSession().ExecuteScript(kWorkload);
     ASSERT_TRUE(results.ok()) << results.status().ToString();
     // Touch every query path once so all files exist on disk, then
     // checkpoint so the WAL is empty and the image is fully flushed.

@@ -112,7 +112,7 @@ class CrashPointSweepTest : public ::testing::TestWithParam<StorageStrategy> {
   }
 
   static void RunSetup(Database* db) {
-    auto r = db->ExecuteScript(kSetup);
+    auto r = db->OpenSession().ExecuteScript(kSetup);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
 
@@ -448,6 +448,7 @@ uint64_t TxnBoundary(size_t steps) {
 void RunTxnSteps(Database* db, size_t* completed, bool* aborted) {
   *completed = 0;
   *aborted = false;
+  Session session = db->OpenSession();
   for (const TxnStep& step : TxnSteps()) {
     if (step.checkpoint) {
       if (!db->Checkpoint().ok()) {
@@ -455,22 +456,22 @@ void RunTxnSteps(Database* db, size_t* completed, bool* aborted) {
         return;
       }
     } else if (step.txn) {
-      if (!db->Execute("BEGIN;").ok()) {
+      if (!session.Execute("BEGIN;").ok()) {
         *aborted = true;
         return;
       }
       for (const std::string& stmt : step.stmts) {
-        if (!db->Execute(stmt).ok()) {
+        if (!session.Execute(stmt).ok()) {
           *aborted = true;
           return;
         }
       }
-      if (!db->Execute("COMMIT;").ok()) {
+      if (!session.Execute("COMMIT;").ok()) {
         *aborted = true;
         return;
       }
     } else {
-      if (!db->Execute(step.stmts[0]).ok()) {
+      if (!session.Execute(step.stmts[0]).ok()) {
         *aborted = true;
         return;
       }
@@ -511,19 +512,20 @@ TEST_P(CrashPointSweepTest, PowerCutAtEveryEventInsideGroupedTxnCommits) {
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     RunSetup(db->get());
     oracle[0] = Snapshot(db->get());
+    Session session = (*db)->OpenSession();
     for (size_t i = 0; i < TxnSteps().size(); ++i) {
       const TxnStep& step = TxnSteps()[i];
       if (step.checkpoint) {
         ASSERT_TRUE((*db)->Checkpoint().ok());
       } else if (step.txn) {
-        ASSERT_TRUE((*db)->Execute("BEGIN;").ok());
+        ASSERT_TRUE(session.Execute("BEGIN;").ok());
         for (const std::string& stmt : step.stmts) {
-          auto r = (*db)->Execute(stmt);
+          auto r = session.Execute(stmt);
           ASSERT_TRUE(r.ok()) << stmt << ": " << r.status().ToString();
         }
-        ASSERT_TRUE((*db)->Execute("COMMIT;").ok());
+        ASSERT_TRUE(session.Execute("COMMIT;").ok());
       } else {
-        ASSERT_TRUE((*db)->Execute(step.stmts[0]).ok());
+        ASSERT_TRUE(session.Execute(step.stmts[0]).ok());
       }
       ASSERT_EQ((*db)->applied_op_seq(), TxnBoundary(i + 1))
           << "step " << i << " consumed an unexpected op_seq budget";
@@ -585,12 +587,13 @@ TEST_P(CrashPointSweepTest, PowerCutAtEveryEventInsideGroupedTxnCommits) {
 TEST_P(CrashPointSweepTest, OrphanedTxnRemnantsAreScrubbedAtRecovery) {
   auto RunTxnScript = [](Database* db, bool* aborted) {
     *aborted = false;
+    Session session = db->OpenSession();
     for (const char* stmt :
          {"BEGIN;",
           "INSERT ATOM Emp (name='t0', salary=100) VALID FROM 10",
           "INSERT ATOM Emp (name='t1', salary=110) VALID FROM 10",
           "COMMIT;"}) {
-      if (!db->Execute(stmt).ok()) {
+      if (!session.Execute(stmt).ok()) {
         *aborted = true;
         return;
       }

@@ -45,8 +45,9 @@ class CrashRecoveryTest : public ::testing::TestWithParam<StorageStrategy> {
   static void ApplyWorkload(Database* db, int steps) {
     auto stmts = Parser::ParseScript(kSchema);
     ASSERT_TRUE(stmts.ok());
+    Session session = db->OpenSession();
     for (const Statement& stmt : stmts.value()) {
-      ASSERT_TRUE(db->ExecuteStatement(stmt).ok());
+      ASSERT_TRUE(session.ExecuteStatement(stmt).ok());
     }
     Random rng(99);
     std::vector<AtomId> emps;
@@ -305,7 +306,7 @@ TEST_P(CrashRecoveryTest, RejectedAutoCommitStatementsDoNotBlockReopen) {
       auto victim = Database::Open(dir, Options());
       ASSERT_TRUE(victim.ok());
       Database* leaked = victim.value().release();
-      ASSERT_TRUE(leaked->ExecuteScript(kSchema).ok());
+      ASSERT_TRUE(leaked->OpenSession().ExecuteScript(kSchema).ok());
       const std::string dept = std::to_string(
           leaked->Execute("INSERT ATOM Dept (name='d', budget=1) VALID FROM 10")
               .value()

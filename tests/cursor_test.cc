@@ -121,12 +121,12 @@ const AggregateCase kAggregateCases[] = {
 };
 
 /// Opens `mql`, drains it in batches of 3, and requires the rows to equal
-/// Database::Execute's; returns them.
-std::vector<std::vector<Value>> DrainMatchingExecute(Database* db,
+/// Session::Execute's; returns them.
+std::vector<std::vector<Value>> DrainMatchingExecute(Session* session,
                                                      const char* mql) {
-  auto expected = db->Execute(mql);
+  auto expected = session->Execute(mql);
   EXPECT_TRUE(expected.ok()) << mql << ": " << expected.status().ToString();
-  auto cursor = db->Query(mql);
+  auto cursor = session->Query(mql);
   EXPECT_TRUE(cursor.ok()) << mql << ": " << cursor.status().ToString();
   std::vector<std::vector<Value>> rows;
   if (!expected.ok() || !cursor.ok()) return rows;
@@ -142,6 +142,7 @@ TEST_P(CursorTest, PipelineBreakersStreamThroughStages) {
   for (size_t parallelism : {size_t{1}, size_t{4}}) {
     auto db = OpenCompanyDb(dir.path() + "/p" + std::to_string(parallelism),
                             GetParam(), parallelism);
+    Session session = db->OpenSession();
     for (const OrderCase& c : kOrderCases) {
       // The sort stage is a stable sort of the unordered stream.
       auto unordered = db->Execute(c.unordered);
@@ -153,9 +154,9 @@ TEST_P(CursorTest, PipelineBreakersStreamThroughStages) {
                          int cmp = a[c.key].Compare(b[c.key]).value();
                          return c.desc ? cmp > 0 : cmp < 0;
                        });
-      EXPECT_EQ(DrainMatchingExecute(db.get(), c.mql), sorted) << c.mql;
+      EXPECT_EQ(DrainMatchingExecute(&session, c.mql), sorted) << c.mql;
       // ORDER BY holds its whole input (the cursor finalized last).
-      EXPECT_EQ(db->last_query_stats().peak_buffered_rows, sorted.size())
+      EXPECT_EQ(session.last_query_stats().peak_buffered_rows, sorted.size())
           << c.mql << " p" << parallelism;
     }
     for (const AggregateCase& c : kAggregateCases) {
@@ -169,21 +170,21 @@ TEST_P(CursorTest, PipelineBreakersStreamThroughStages) {
         }
         groups = roots.size();
       }
-      EXPECT_EQ(DrainMatchingExecute(db.get(), c.mql).size(), groups)
+      EXPECT_EQ(DrainMatchingExecute(&session, c.mql).size(), groups)
           << c.mql;
       // An aggregate holds one accumulator row per group.
-      EXPECT_EQ(db->last_query_stats().peak_buffered_rows, groups)
+      EXPECT_EQ(session.last_query_stats().peak_buffered_rows, groups)
           << c.mql << " p" << parallelism;
     }
 
     // Abandoning an ORDER BY stream after its first row.
-    auto cursor = db->Query(kOrderCases[1].mql);
+    auto cursor = session.Query(kOrderCases[1].mql);
     ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
     std::vector<Value> row;
     auto first = cursor.value()->Next(&row);
     ASSERT_TRUE(first.ok() && first.value());
     cursor.value()->Close();
-    EXPECT_EQ(db->last_query_stats().rows_streamed, 1u);
+    EXPECT_EQ(session.last_query_stats().rows_streamed, 1u);
     auto usable = db->Execute(kOrderCases[0].mql);
     EXPECT_TRUE(usable.ok()) << usable.status().ToString();
 
@@ -204,7 +205,8 @@ TEST_P(CursorTest, EarlyCloseStopsProductionCleanly) {
   for (size_t parallelism : {size_t{1}, size_t{4}}) {
     auto db = OpenCompanyDb(dir.path() + "/p" + std::to_string(parallelism),
                             GetParam(), parallelism);
-    auto cursor = db->Query("SELECT ALL FROM DeptMol HISTORY");
+    Session session = db->OpenSession();
+    auto cursor = session.Query("SELECT ALL FROM DeptMol HISTORY");
     ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
     std::vector<Value> row;
     auto first = cursor.value()->Next(&row);
@@ -213,7 +215,7 @@ TEST_P(CursorTest, EarlyCloseStopsProductionCleanly) {
     cursor.value()->Close();  // abandon mid-stream
     // The database stays fully usable; the finalize hook already ran,
     // so the trace reflects the truncated stream.
-    EXPECT_GE(db->last_query_stats().rows_streamed, 1u);
+    EXPECT_GE(session.last_query_stats().rows_streamed, 1u);
     auto again = db->Execute("SELECT ALL FROM DeptMol VALID AT NOW");
     EXPECT_TRUE(again.ok()) << again.status().ToString();
   }
@@ -284,12 +286,13 @@ TEST_P(CursorTest, PlanTimeErrorSurfacesAtOpen) {
 TEST_P(CursorTest, TraceReportsFlatPeakBufferedRowsWhenStreaming) {
   TempDir dir;
   auto db = OpenCompanyDb(dir.path() + "/db", GetParam(), 1);
-  auto cursor = db->Query("SELECT ALL FROM DeptMol HISTORY");
+  Session session = db->OpenSession();
+  auto cursor = session.Query("SELECT ALL FROM DeptMol HISTORY");
   ASSERT_TRUE(cursor.ok());
   std::vector<std::vector<Value>> rows;
   ASSERT_TRUE(Drain(cursor.value().get(), 64, &rows).ok());
   cursor.value()->Close();
-  const QueryStats& stats = db->last_query_stats();
+  const QueryStats& stats = session.last_query_stats();
   EXPECT_EQ(stats.rows_streamed, rows.size());
   EXPECT_EQ(stats.rows, rows.size());
   ASSERT_GT(rows.size(), 0u);

@@ -23,14 +23,19 @@ class DatabaseTest : public ::testing::TestWithParam<StorageStrategy> {
     return std::move(db).value();
   }
 
-  /// Runs a ';'-separated script, asserting every statement succeeds;
-  /// returns the last result.
+  /// Runs a ';'-separated script in a fresh session, asserting every
+  /// statement succeeds; returns the last result.
   ResultSet Run(Database* db, const std::string& script) {
+    Session session = db->OpenSession();
+    return Run(&session, script);
+  }
+
+  ResultSet Run(Session* session, const std::string& script) {
     auto stmts = Parser::ParseScript(script);
     EXPECT_TRUE(stmts.ok()) << stmts.status().ToString();
     ResultSet last;
     for (const Statement& stmt : stmts.value()) {
-      auto r = db->ExecuteStatement(stmt);
+      auto r = session->ExecuteStatement(stmt);
       EXPECT_TRUE(r.ok()) << r.status().ToString();
       if (r.ok()) last = std::move(r).value();
     }
@@ -317,9 +322,10 @@ TEST_P(DatabaseTest, DuplicateWriteAtSameInstantIsRejected) {
     EXPECT_EQ(salary_at_25(leaked, "ada"), 5);
     for (const Case& c : cases) {
       SCOPED_TRACE(c.again);
-      Run(leaked, "BEGIN");
-      auto in_txn = leaked->Execute(c.again);
-      Run(leaked, "ABORT");
+      Session session = leaked->OpenSession();
+      Run(&session, "BEGIN");
+      auto in_txn = session.Execute(c.again);
+      Run(&session, "ABORT");
       ASSERT_FALSE(in_txn.ok());
       EXPECT_EQ(in_txn.status().code(), c.code) << in_txn.status().ToString();
       auto auto_commit = leaked->Execute(c.again);

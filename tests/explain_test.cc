@@ -121,17 +121,18 @@ TEST_P(ExplainTest, PlainExplainStillReturnsStaticPlan) {
 TEST_P(ExplainTest, ExplainApiWrapsSelect) {
   TempDir dir;
   auto db = OpenCompanyDb(dir.path() + "/db", GetParam(), 1);
-  auto traced = db->Explain("SELECT ALL FROM DeptMol VALID AT NOW");
+  Session session = db->OpenSession();
+  auto traced = session.Explain("SELECT ALL FROM DeptMol VALID AT NOW");
   ASSERT_TRUE(traced.ok()) << traced.status().ToString();
   auto trace = IndexTrace(traced.value());
   EXPECT_EQ(trace.at({"query", "temporal_mode"}).AsString(), "as-of");
   EXPECT_GT(trace.at({"result", "rows"}).AsInt(), 0);
 
-  auto untraced = db->Explain("SELECT ALL FROM DeptMol VALID AT NOW",
-                              /*analyze=*/false);
+  auto untraced = session.Explain("SELECT ALL FROM DeptMol VALID AT NOW",
+                                  /*analyze=*/false);
   ASSERT_TRUE(untraced.ok()) << untraced.status().ToString();
 
-  auto bad = db->Explain("INSERT ATOM Dept (name = 'x') VALID IN [1, 2)");
+  auto bad = session.Explain("INSERT ATOM Dept (name = 'x') VALID IN [1, 2)");
   EXPECT_FALSE(bad.ok());
 }
 
@@ -144,11 +145,13 @@ TEST_P(ExplainTest, SerialAndParallelResultTotalsAgree) {
   TempDir dir;
   auto serial = OpenCompanyDb(dir.path() + "/serial", GetParam(), 1);
   auto parallel = OpenCompanyDb(dir.path() + "/parallel", GetParam(), 3);
+  Session serial_session = serial->OpenSession();
+  Session parallel_session = parallel->OpenSession();
   for (const std::string& mql : statements) {
-    ASSERT_TRUE(serial->Execute(mql).ok()) << mql;
-    QueryStats s = serial->last_query_stats();
-    ASSERT_TRUE(parallel->Execute(mql).ok()) << mql;
-    QueryStats p = parallel->last_query_stats();
+    ASSERT_TRUE(serial_session.Execute(mql).ok()) << mql;
+    QueryStats s = serial_session.last_query_stats();
+    ASSERT_TRUE(parallel_session.Execute(mql).ok()) << mql;
+    QueryStats p = parallel_session.last_query_stats();
     // Store-access and cache counts legitimately differ (per-worker
     // private caches re-pin shared atoms); the *results* must not.
     EXPECT_EQ(s.molecules, p.molecules) << mql;
@@ -161,11 +164,13 @@ TEST_P(ExplainTest, SerialAndParallelResultTotalsAgree) {
 TEST_P(ExplainTest, TraceReconcilesWithMetricsSnapshot) {
   TempDir dir;
   auto db = OpenCompanyDb(dir.path() + "/db", GetParam(), 1);
+  Session session = db->OpenSession();
   MetricsSnapshot before = db->MetricsSnapshot();
   ASSERT_TRUE(
-      db->Execute("SELECT ALL FROM DeptMol ORDER BY ROOT VALID AT NOW").ok());
+      session.Execute("SELECT ALL FROM DeptMol ORDER BY ROOT VALID AT NOW")
+          .ok());
   MetricsSnapshot after = db->MetricsSnapshot();
-  const QueryStats& trace = db->last_query_stats();
+  const QueryStats& trace = session.last_query_stats();
 
   auto delta = [&](const char* name) {
     return after.CounterOr(name, 0) - before.CounterOr(name, 0);
@@ -260,11 +265,11 @@ TEST_P(ExplainTest, ConcurrentExplainAnalyzeReportsItsOwnQuery) {
 }
 
 TEST_P(ExplainTest, OverlappingQueryReportsOnlyItsOwnWork) {
-  // A SELECT run to completion while another query's cursor is open must
-  // not show up in that query's trace: the cursor reports exactly the
-  // storage work it reports alone. Hits, misses and evictions depend on
-  // the pool state the other query leaves behind, so only the work
-  // itself (store accesses, page fetches) is compared.
+  // A SELECT another session runs to completion while this session's
+  // cursor is open must not show up in the cursor's trace: the cursor
+  // reports exactly the storage work it reports alone. Hits, misses and
+  // evictions depend on the pool state the other query leaves behind,
+  // so only the work itself (store accesses, page fetches) is compared.
   const std::vector<std::string> statements = {
       "SELECT ALL FROM DeptMol WHERE Dept.name = 'dept-0' VALID AT 10",
       "SELECT ALL FROM DeptMol HISTORY",
@@ -273,12 +278,14 @@ TEST_P(ExplainTest, OverlappingQueryReportsOnlyItsOwnWork) {
   for (size_t parallelism : {size_t{1}, size_t{4}}) {
     auto db = OpenCompanyDb(dir.path() + "/p" + std::to_string(parallelism),
                             GetParam(), parallelism);
+    Session reader = db->OpenSession();
+    Session other = db->OpenSession();
     for (const std::string& mql : statements) {
       SCOPED_TRACE(mql + " at parallelism " + std::to_string(parallelism));
       MetricsSnapshot before = db->MetricsSnapshot();
-      ASSERT_TRUE(db->Execute(mql).ok());
+      ASSERT_TRUE(reader.Execute(mql).ok());
       MetricsSnapshot after = db->MetricsSnapshot();
-      const QueryStats solo = db->last_query_stats();
+      const QueryStats solo = reader.last_query_stats();
       ASSERT_GT(solo.store.Total(), 0u);
       // Alone, the query did all the work: its trace includes what its
       // fan-out workers did on the pool threads.
@@ -292,16 +299,16 @@ TEST_P(ExplainTest, OverlappingQueryReportsOnlyItsOwnWork) {
                     delta("tcob_store_scan_versions_total"));
       EXPECT_EQ(solo.pool.fetches, delta("tcob_pool_fetches_total"));
 
-      auto cursor = db->Query(mql);
+      auto cursor = reader.Query(mql);
       ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
-      ASSERT_TRUE(db->Execute("SELECT ALL FROM DeptMol HISTORY").ok());
+      ASSERT_TRUE(other.Execute("SELECT ALL FROM DeptMol HISTORY").ok());
       std::vector<Value> row;
       for (;;) {
         auto more = cursor.value()->Next(&row);
         ASSERT_TRUE(more.ok()) << more.status().ToString();
         if (!more.value()) break;
       }
-      const QueryStats overlapped = db->last_query_stats();
+      const QueryStats overlapped = reader.last_query_stats();
       ASSERT_EQ(overlapped.statement, mql);
       EXPECT_EQ(overlapped.store.get_as_of, solo.store.get_as_of);
       EXPECT_EQ(overlapped.store.get_versions, solo.store.get_versions);
@@ -399,7 +406,8 @@ TEST(SlowQueryLogTest, StreamingCursorLogsOnceAtFinalize) {
     config.projs_per_emp = 1;
     config.versions_per_atom = 2;
     ASSERT_TRUE(BuildCompany(db.get(), config).ok());
-    auto cursor = db->Query("SELECT ALL FROM DeptMol VALID AT NOW");
+    Session session = db->OpenSession();
+    auto cursor = session.Query("SELECT ALL FROM DeptMol VALID AT NOW");
     ASSERT_TRUE(cursor.ok());
     // Drain one row at a time; nothing may be logged mid-stream.
     std::vector<Value> row;
@@ -416,7 +424,7 @@ TEST(SlowQueryLogTest, StreamingCursorLogsOnceAtFinalize) {
     EXPECT_GT(rows, 0u);
     cursor.value()->Close();
     EXPECT_EQ(slow_lines(), 1u);
-    EXPECT_EQ(db->last_query_stats().disposition, "ok");
+    EXPECT_EQ(session.last_query_stats().disposition, "ok");
   }
   SetLogSink(nullptr);
 }

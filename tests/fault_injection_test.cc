@@ -63,7 +63,7 @@ class FaultInjectionTest : public ::testing::TestWithParam<StorageStrategy> {
     auto db = Database::Open(db_dir(), Options(env));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
     if (!db.ok()) return nullptr;
-    auto r = (*db)->ExecuteScript(kSetup);
+    auto r = (*db)->OpenSession().ExecuteScript(kSetup);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     if (!r.ok()) return nullptr;
     return std::move(db.value());
@@ -89,7 +89,7 @@ TEST_P(FaultInjectionTest, FailedWalSyncDumpsFlightRecorder) {
   options.trace.dump_dir = dump_dir.path();
   auto db = Database::Open(db_dir(), options);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  ASSERT_TRUE((*db)->ExecuteScript(kSetup).ok());
+  ASSERT_TRUE((*db)->OpenSession().ExecuteScript(kSetup).ok());
 
   env.FailSyncAt(env.syncs() + 1);
   auto denied =
@@ -327,7 +327,7 @@ TEST_P(FaultInjectionTest, DegradedReadOnlyModeServesReadsAndRecovers) {
       Database::Open(dir_.path() + "/replica", Options(&replica_env));
   ASSERT_TRUE(replica_opened.ok()) << replica_opened.status().ToString();
   std::unique_ptr<Database> replica = std::move(replica_opened.value());
-  ASSERT_TRUE(replica->ExecuteScript(kSetup).ok());
+  ASSERT_TRUE(replica->OpenSession().ExecuteScript(kSetup).ok());
 
   ASSERT_EQ(victim->health_state(), HealthState::kHealthy);
   victim_env.FailSyncAt(victim_env.syncs() + 1);

@@ -157,10 +157,11 @@ TEST_P(GovernanceTest, DefaultDeadlineAbortsDeepHistoryQuery) {
   // One microsecond: the deadline is armed at query open and the deep
   // sweep checks it at every batch boundary, so this must abort.
   db->set_default_query_deadline(1);
-  auto r = db->Execute(kDeepHistoryQuery);
+  Session session = db->OpenSession();
+  auto r = session.Execute(kDeepHistoryQuery);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDeadlineExceeded()) << r.status().ToString();
-  EXPECT_EQ(db->last_query_stats().disposition, "deadline-exceeded");
+  EXPECT_EQ(session.last_query_stats().disposition, "deadline-exceeded");
 
   // Turning the deadline off restores normal service; the metrics
   // registry has counted the abort.
@@ -205,7 +206,8 @@ TEST_P(GovernanceTest, DeadlineAbortsStreamingCursorMidDrain) {
 TEST_P(GovernanceTest, CancelledCursorCountsDispositionAndMetric) {
   DatabaseOptions options;
   auto db = OpenDeepHistory(dir_.path() + "/db", options, 4);
-  auto cursor = db->Query(kDeepHistoryQuery);
+  Session session = db->OpenSession();
+  auto cursor = session.Query(kDeepHistoryQuery);
   ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
   std::vector<Value> row;
   ASSERT_TRUE(cursor.value()->Next(&row).ok());
@@ -215,7 +217,7 @@ TEST_P(GovernanceTest, CancelledCursorCountsDispositionAndMetric) {
   ASSERT_FALSE(next.ok());
   EXPECT_TRUE(next.status().IsCancelled()) << next.status().ToString();
   cursor.value()->Close();
-  EXPECT_EQ(db->last_query_stats().disposition, "cancelled");
+  EXPECT_EQ(session.last_query_stats().disposition, "cancelled");
   std::string metrics = db->MetricsSnapshot().ToText();
   EXPECT_NE(metrics.find("tcob_query_cancelled_total 1"), std::string::npos)
       << metrics;
@@ -245,7 +247,8 @@ TEST_P(GovernanceTest, MemoryBudgetCapIsNeverExceededAndQueryCompletes) {
   DatabaseOptions capped;
   capped.memory_budget_bytes = peak_unbounded / 8 + 1;
   auto db = OpenDeepHistory(dir_.path() + "/capped", capped, 4);
-  auto cursor = db->Query(kDeepHistoryQuery);
+  Session session = db->OpenSession();
+  auto cursor = session.Query(kDeepHistoryQuery);
   ASSERT_TRUE(cursor.ok());
   size_t rows = 0;
   std::vector<std::vector<Value>> batch;
@@ -258,7 +261,7 @@ TEST_P(GovernanceTest, MemoryBudgetCapIsNeverExceededAndQueryCompletes) {
   cursor.value()->Close();
   EXPECT_GT(rows, 0u);
   EXPECT_LE(db->memory_budget().peak(), capped.memory_budget_bytes);
-  EXPECT_GT(db->last_query_stats().peak_memory_bytes, 0u);
+  EXPECT_GT(session.last_query_stats().peak_memory_bytes, 0u);
 }
 
 TEST_P(GovernanceTest, AdmissionGateBoundsInflightQueries) {

@@ -41,8 +41,9 @@ class IntegrationTest : public ::testing::Test {
       dbs_.push_back(std::move(db).value());
       auto stmts = Parser::ParseScript(kSchema);
       ASSERT_TRUE(stmts.ok());
+      Session session = dbs_.back()->OpenSession();
       for (const Statement& stmt : stmts.value()) {
-        ASSERT_TRUE(dbs_.back()->ExecuteStatement(stmt).ok());
+        ASSERT_TRUE(session.ExecuteStatement(stmt).ok());
       }
     }
   }

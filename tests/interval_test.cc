@@ -75,7 +75,13 @@ struct AllenCase {
   Interval a;
   Interval b;
   AllenRelation expected;
+  // gtest prints a parameter type without a printer as its raw bytes,
+  // and the test ids carry them; an explicit zeroed tail instead of
+  // padding keeps the ids the same from build to build.
+  uint32_t tail = 0;
 };
+static_assert(sizeof(AllenCase) == 2 * sizeof(Interval) + 8,
+              "AllenCase must have no padding bytes");
 
 class AllenTest : public ::testing::TestWithParam<AllenCase> {};
 

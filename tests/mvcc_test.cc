@@ -4,6 +4,7 @@
 // as the TSan target for the whole transaction path.
 
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,7 @@ class MvccTest : public ::testing::TestWithParam<StorageStrategy> {
     auto db = Database::Open(dir_.path() + "/db", options);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     db_ = std::move(db).value();
+    session_.emplace(db_->OpenSession());
     ASSERT_TRUE(db_->CreateAtomType("Dept", {{"name", AttrType::kString},
                                              {"budget", AttrType::kInt}})
                     .ok());
@@ -51,8 +53,10 @@ class MvccTest : public ::testing::TestWithParam<StorageStrategy> {
     return emp;
   }
 
+  /// Rows `mql` returns in the fixture's session (inside its
+  /// transaction, if one is open).
   size_t CountRows(const std::string& mql) {
-    auto r = db_->Execute(mql);
+    auto r = session_->Execute(mql);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.ok() ? r.value().RowCount() : 0;
   }
@@ -72,13 +76,14 @@ class MvccTest : public ::testing::TestWithParam<StorageStrategy> {
 
   TempDir dir_;
   std::unique_ptr<Database> db_;
+  std::optional<Session> session_;
 };
 
 // A session transaction's reads are pinned to its snapshot: a commit
 // that lands after BEGIN is invisible until the session closes.
 TEST_P(MvccTest, SnapshotReadStableAcrossConcurrentCommit) {
   AtomId emp = SeedMolecule();
-  ASSERT_TRUE(db_->BeginSession().ok());
+  ASSERT_TRUE(session_->Execute("BEGIN;").ok());
   EXPECT_EQ(
       CountRows("SELECT Emp.salary FROM DeptMol WHERE Emp.salary = 100 "
                 "VALID AT NOW"),
@@ -101,7 +106,7 @@ TEST_P(MvccTest, SnapshotReadStableAcrossConcurrentCommit) {
       CountRows("SELECT Emp.salary FROM DeptMol WHERE Emp.salary = 200 "
                 "VALID AT NOW"),
       0u);
-  ASSERT_TRUE(db_->CommitSession().ok());
+  ASSERT_TRUE(session_->Execute("COMMIT;").ok());
   // Outside the transaction the committed update is visible.
   EXPECT_EQ(
       CountRows("SELECT Emp.salary FROM DeptMol WHERE Emp.salary = 200 "
@@ -113,7 +118,7 @@ TEST_P(MvccTest, SnapshotReadStableAcrossConcurrentCommit) {
 // does not advance inside a transaction, even on request.
 TEST_P(MvccTest, AsOfInsideTxnPinsToSnapshot) {
   AtomId emp = SeedMolecule();
-  ASSERT_TRUE(db_->BeginSession().ok());
+  ASSERT_TRUE(session_->Execute("BEGIN;").ok());
   {
     Transaction txn = db_->Begin();
     ASSERT_TRUE(
@@ -131,7 +136,7 @@ TEST_P(MvccTest, AsOfInsideTxnPinsToSnapshot) {
       CountRows("SELECT Emp.salary FROM DeptMol WHERE Emp.salary = 100 "
                 "VALID AT 1000"),
       1u);
-  ASSERT_TRUE(db_->AbortSession().ok());
+  ASSERT_TRUE(session_->Execute("ABORT;").ok());
   EXPECT_EQ(
       CountRows("SELECT Emp.salary FROM DeptMol WHERE Emp.salary = 200 "
                 "VALID AT 1000"),
@@ -218,12 +223,14 @@ TEST_P(MvccTest, AbortLeavesNoTraceInDump) {
   }
   EXPECT_EQ(db_->wal()->appended_records(), wal_before);
   EXPECT_EQ(db_->ActiveTxns(), 0u);
+  session_.reset();  // a session must not outlive its Database
   db_.reset();
   DatabaseOptions options;
   options.strategy = GetParam();
   auto reopened = Database::Open(dir_.path() + "/db", options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   db_ = std::move(reopened).value();
+  session_.emplace(db_->OpenSession());
   // The ghost insert never existed at any instant; the buffered update
   // never became a version (salary history is the single seed value).
   EXPECT_EQ(CountAtomsAt("Emp", 25), 1u);
@@ -251,9 +258,9 @@ TEST_P(MvccTest, EmptyCommitIsFree) {
 // publishes it, and a second BEGIN; inside a transaction is refused.
 TEST_P(MvccTest, SessionTxnOverMql) {
   SeedMolecule();
-  ASSERT_TRUE(db_->Execute("BEGIN;").ok());
-  EXPECT_TRUE(db_->Execute("BEGIN;").status().IsInvalidArgument());
-  auto buffered = db_->Execute(
+  ASSERT_TRUE(session_->Execute("BEGIN;").ok());
+  EXPECT_TRUE(session_->Execute("BEGIN;").status().IsInvalidArgument());
+  auto buffered = session_->Execute(
       "INSERT ATOM Emp (name='eve', salary=70) VALID FROM 20;");
   ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
   EXPECT_NE(buffered.value().message.find("buffered"), std::string::npos);
@@ -262,31 +269,32 @@ TEST_P(MvccTest, SessionTxnOverMql) {
       CountRows("SELECT Emp.salary FROM DeptMol WHERE Emp.salary = 70 "
                 "VALID AT 30"),
       0u);
-  ASSERT_TRUE(db_->Execute("ABORT;").ok());
+  ASSERT_TRUE(session_->Execute("ABORT;").ok());
   EXPECT_EQ(CountRows("SELECT Emp.name FROM DeptMol HISTORY"), 1u);
 
-  ASSERT_TRUE(db_->Execute("BEGIN;").ok());
+  ASSERT_TRUE(session_->Execute("BEGIN;").ok());
   AtomId dept2;
   {
-    auto r = db_->Execute(
+    auto r = session_->Execute(
         "INSERT ATOM Dept (name='Ops', budget=50) VALID FROM 20;");
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     dept2 = r.value().inserted_id;
   }
-  auto r2 = db_->Execute("INSERT ATOM Emp (name='eve', salary=70) "
-                         "VALID FROM 20;");
+  auto r2 = session_->Execute("INSERT ATOM Emp (name='eve', salary=70) "
+                              "VALID FROM 20;");
   ASSERT_TRUE(r2.ok());
-  ASSERT_TRUE(db_->Execute("CONNECT DeptEmp FROM " + std::to_string(dept2) +
-                           " TO " + std::to_string(r2.value().inserted_id) +
-                           " VALID FROM 20;")
+  ASSERT_TRUE(session_
+                  ->Execute("CONNECT DeptEmp FROM " + std::to_string(dept2) +
+                            " TO " + std::to_string(r2.value().inserted_id) +
+                            " VALID FROM 20;")
                   .ok());
-  ASSERT_TRUE(db_->Execute("COMMIT;").ok());
+  ASSERT_TRUE(session_->Execute("COMMIT;").ok());
   EXPECT_EQ(
       CountRows("SELECT Emp.salary FROM DeptMol WHERE Emp.salary = 70 "
                 "VALID AT 30"),
       1u);
-  EXPECT_TRUE(db_->Execute("COMMIT;").status().IsInvalidArgument());
-  EXPECT_TRUE(db_->Execute("ABORT;").status().IsInvalidArgument());
+  EXPECT_TRUE(session_->Execute("COMMIT;").status().IsInvalidArgument());
+  EXPECT_TRUE(session_->Execute("ABORT;").status().IsInvalidArgument());
 }
 
 // Commits and aborts survive recovery: replay applies exactly the
@@ -313,6 +321,7 @@ TEST_P(MvccTest, RecoveryHonorsTxnBoundaries) {
   }
   DatabaseOptions options;
   options.strategy = GetParam();
+  session_.reset();
   db_.reset();
   db_ = Database::Open(dir_.path() + "/db", options).value();
   // Seed emp + the committed insert; the aborted one never existed.
@@ -384,7 +393,7 @@ TEST_P(MvccTest, NowCommitStaysInvisibleToPinnedSnapshot) {
                               db_->Now() + 50)
                   .ok());
   // A reader pins its snapshot *now* — before W commits.
-  ASSERT_TRUE(db_->BeginSession().ok());
+  ASSERT_TRUE(session_->Execute("BEGIN;").ok());
   ASSERT_TRUE(w.Commit().ok());
   // The pinned snapshot must not see W's commit: had the provisional
   // (buffering-time) stamps been kept, the writes would land *inside*
@@ -392,7 +401,7 @@ TEST_P(MvccTest, NowCommitStaysInvisibleToPinnedSnapshot) {
   EXPECT_EQ(CountRows("SELECT Emp.name FROM DeptMol WHERE Emp.salary = 300 "
                       "VALID AT NOW"),
             0u);
-  ASSERT_TRUE(db_->AbortSession().ok());
+  ASSERT_TRUE(session_->Execute("ABORT;").ok());
   // Outside the transaction the commit is visible at the current NOW.
   EXPECT_EQ(CountRows("SELECT Emp.name FROM DeptMol WHERE Emp.salary = 300 "
                       "VALID AT NOW"),

@@ -256,16 +256,17 @@ TEST_P(TieringTest, HotTailPrunesAndLongRangeDecodes) {
   // segment; the separated store answers from the current record
   // without consulting cold at all — zero contact is the stronger
   // outcome, so only the no-decode half applies there.
-  MaterializedRows(tiered_.get(), "SELECT ALL FROM DeptMol VALID AT NOW");
-  const ColdTierAccessStats hot = tiered_->last_query_stats().tiering;
+  Session session = tiered_->OpenSession();
+  ASSERT_TRUE(session.Execute("SELECT ALL FROM DeptMol VALID AT NOW").ok());
+  const ColdTierAccessStats hot = session.last_query_stats().tiering;
   if (std::get<0>(GetParam()) != StorageStrategy::kSeparated) {
     EXPECT_GT(hot.segments_pruned, 0u);
   }
   EXPECT_EQ(hot.segments_scanned, 0u);
   EXPECT_EQ(hot.cold_versions, 0u);
   // Long-range history: cold segments must actually be decoded.
-  MaterializedRows(tiered_.get(), "SELECT ALL FROM DeptMol HISTORY");
-  const ColdTierAccessStats range = tiered_->last_query_stats().tiering;
+  ASSERT_TRUE(session.Execute("SELECT ALL FROM DeptMol HISTORY").ok());
+  const ColdTierAccessStats range = session.last_query_stats().tiering;
   EXPECT_GT(range.segments_scanned, 0u);
   EXPECT_GT(range.cold_versions, 0u);
 }

@@ -122,7 +122,8 @@ TEST(DiskManagerTest, PersistsAcrossReopen) {
 TEST(ExecuteScriptTest, RunsAllAndStopsOnError) {
   TempDir dir;
   auto db = Database::Open(dir.path() + "/db", {}).value();
-  auto results = db->ExecuteScript(R"(
+  Session session = db->OpenSession();
+  auto results = session.ExecuteScript(R"(
     CREATE ATOM_TYPE T (x INT);
     INSERT ATOM T (x=1) VALID FROM 5;
     INSERT ATOM T (x=2) VALID FROM 5;
@@ -131,7 +132,7 @@ TEST(ExecuteScriptTest, RunsAllAndStopsOnError) {
   EXPECT_EQ(results.value().size(), 3u);
   EXPECT_NE(results.value()[1].inserted_id, kInvalidAtomId);
   // Error mid-script propagates.
-  auto bad = db->ExecuteScript("CREATE ATOM_TYPE U (y INT); garbage;");
+  auto bad = session.ExecuteScript("CREATE ATOM_TYPE U (y INT); garbage;");
   EXPECT_TRUE(bad.status().IsParseError());
 }
 
