@@ -516,40 +516,6 @@ Status Database::LogAndApply(WalOp op,
 
 // ---- transactions ----
 
-namespace {
-
-/// Commit-time re-stamping may reorder a transaction's writes to one
-/// entity: a VALID FROM NOW operation buffered *before* an explicit
-/// future stamp can overtake it once concurrent commits pushed NOW
-/// past that stamp. The stores would refuse the out-of-order apply —
-/// after the commit record is already durable, poisoning the instance
-/// — so the overlap is caught here and the commit loses as a temporal
-/// conflict instead. The invariant mirrors buffering-time validation:
-/// per entity, strictly increasing begins, except a re-connect may
-/// reuse the instant the previous link interval ended at.
-Status CheckRestampedOrder(const std::vector<WalOp>& ops,
-                           const std::vector<TxnWriteKey>& keys) {
-  std::map<TxnWriteKey, Timestamp> last;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    auto [it, first] = last.try_emplace(keys[i], ops[i].valid_from);
-    if (first) continue;
-    const bool may_touch = ops[i].type == WalOpType::kConnect;
-    if (ops[i].valid_from > it->second ||
-        (may_touch && ops[i].valid_from == it->second)) {
-      it->second = ops[i].valid_from;
-      continue;
-    }
-    return Status::TxnConflict(
-        "concurrent commits advanced NOW past this transaction's "
-        "explicit stamps; re-stamping its VALID FROM NOW operations "
-        "would reorder writes to the same entity — retry the "
-        "transaction");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Transaction Database::Begin() {
   const uint64_t txn_id =
       next_txn_id_.fetch_add(1, std::memory_order_relaxed);
@@ -579,7 +545,8 @@ void Database::OnTxnAborted(uint64_t txn_id) {
 }
 
 Status Database::CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
-                           uint64_t snapshot_seq) {
+                           uint64_t snapshot_seq,
+                           std::map<TxnWriteKey, TimelineTail> tails) {
   if (ops.empty()) {
     // A write-free transaction commits trivially: nothing to validate,
     // nothing to log.
@@ -598,15 +565,16 @@ Status Database::CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
     txn_manager_.EndTxn(txn_id);
     return writable;
   }
-  // First-committer-wins: anyone who committed one of our write keys
-  // after our snapshot wins; we abort and our buffered ops vanish.
-  Status valid = txn_manager_.CheckConflict(snapshot_seq, keys);
-  if (!valid.ok()) {
+  auto lose = [&](Status conflict) {
     txn_manager_.EndTxn(txn_id);
     txn_conflicts_total_.Increment();
     trace_rec_.Emit(TraceEventType::kTxnConflict, txn_id);
-    return valid;
-  }
+    return conflict;
+  };
+  // First-committer-wins: anyone who committed one of our write keys
+  // after our snapshot wins; we abort and our buffered ops vanish.
+  Status valid = txn_manager_.CheckConflict(snapshot_seq, keys);
+  if (!valid.ok()) return lose(valid);
   // The buffered VALID FROM NOW stamps were provisional (the
   // transaction-local clock at buffering time); left alone, a commit
   // could land at or before a snapshot pinned *after* buffering and
@@ -616,21 +584,24 @@ Status Database::CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
   // NOW and explicit stamps keep their absolute positions.
   std::vector<WalOp> stamped = ops;
   Timestamp commit_clock = Now();
-  bool restamped = false;
   for (WalOp& op : stamped) {
-    if (op.stamped_now) {
-      op.valid_from = commit_clock;
-      restamped = true;
-    }
+    if (op.stamped_now) op.valid_from = commit_clock;
     if (op.valid_from >= commit_clock) commit_clock = op.valid_from + 1;
   }
-  if (restamped) {
-    Status ordered = CheckRestampedOrder(stamped, keys);
-    if (!ordered.ok()) {
-      txn_manager_.EndTxn(txn_id);
-      txn_conflicts_total_.Increment();
-      trace_rec_.Emit(TraceEventType::kTxnConflict, txn_id);
-      return ordered;
+  // Re-stamping may reorder a transaction's writes to one entity: a NOW
+  // op buffered before an explicit future stamp overtakes it once
+  // concurrent commits pushed NOW past that stamp. Re-check the stamped
+  // ops with the mutation rule, folded in order over the snapshot tails;
+  // the conflict check above proved those tails still current, so what
+  // passes here the stores accept.
+  for (size_t i = 0; i < stamped.size(); ++i) {
+    Status step = StepTail(stamped[i], &tails[keys[i]]);
+    if (!step.ok()) {
+      return lose(Status::TxnConflict(
+          "concurrent commits advanced NOW past this transaction's "
+          "explicit stamps, and re-stamping its VALID FROM NOW operations "
+          "reorders its writes (" + step.message() +
+          ") — retry the transaction"));
     }
   }
   // Phase 1: log everything, ending with the commit record. Sequence
@@ -670,8 +641,8 @@ Status Database::CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
     return logged;
   }
   ++next_op_seq_;
-  // Phase 2: apply. Validation at buffering time plus the conflict
-  // check guarantee success; a failure here means the in-memory image
+  // Phase 2: apply. The rule check above plus the conflict check
+  // guarantee success; a failure here means the in-memory image
   // diverged from the log (the commit record is already appended, so
   // recovery would reapply the batch).
   for (const WalOp& op : stamped) {
@@ -870,19 +841,20 @@ Status Database::UpdateAtom(
   op.atom_id = id;
   op.atom_type = type->id;
   op.valid_from = from;
-  // Carry unchanged attributes over from the version being replaced,
-  // read under the writer mutex against the final stamp: read any
-  // earlier and a concurrent update to another attribute is lost.
+  // Carry unchanged attributes over from the atom's live version, read
+  // under the writer mutex against the final stamp: read any earlier and
+  // a concurrent update to another attribute is lost. Only a live
+  // version contains the last instant. Without one the rule refuses the
+  // update here; with one the store checks the rest of the rule when it
+  // applies, so an update at the live version's begin is logged and
+  // rejected there like every other invalid auto-commit statement.
   return LogAndApply(std::move(op), [&](WalOp* op) -> Status {
-    TCOB_ASSIGN_OR_RETURN(std::optional<AtomVersion> current,
-                          store_->GetAsOf(*type, id, op->valid_from - 1));
-    if (!current.has_value()) {
-      return Status::InvalidArgument("atom " + std::to_string(id) +
-                                     " has no version just before " +
-                                     TimestampToString(op->valid_from));
-    }
+    std::optional<AtomVersion> live;
+    TCOB_ASSIGN_OR_RETURN(TimelineTail tail,
+                          store_->TailAsOf(*type, id, kForever - 1, &live));
+    if (!live.has_value()) return tail.Close(op->valid_from);
     TCOB_ASSIGN_OR_RETURN(
-        op->attrs, ResolveAssignmentsFor(*type, assignments, &current->attrs));
+        op->attrs, ResolveAssignmentsFor(*type, assignments, &live->attrs));
     return Status::OK();
   });
 }

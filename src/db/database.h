@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -229,8 +230,9 @@ class Database {
 
   /// Opens a caller's MQL session (see session.h): BEGIN; / COMMIT; /
   /// ABORT; act on its own transaction, and it keeps its own last
-  /// query trace. It must not outlive this Database.
-  Session OpenSession() { return Session(this, /*temporary=*/false); }
+  /// query trace. Once this Database is destroyed, every call on the
+  /// session fails with FailedPrecondition.
+  Session OpenSession() { return Session(this, alive_token_); }
 
   /// Number of explicit transactions currently open (a session's or
   /// programmatic); introspection for tests and the degradation paths.
@@ -280,10 +282,10 @@ class Database {
   /// the transaction would end with the call (use OpenSession()). Drain
   /// or Close a cursor before destroying this Database.
   Result<ResultSet> Execute(const std::string& mql) {
-    return Session(this, /*temporary=*/true).Execute(mql);
+    return Session(this).Execute(mql);
   }
   Result<std::unique_ptr<Cursor>> Query(const std::string& mql) {
-    return Session(this, /*temporary=*/true).Query(mql);
+    return Session(this).Query(mql);
   }
 
   // ---- observability ----
@@ -445,12 +447,15 @@ class Database {
   AtomId AllocateAtomId() { return catalog_.NextAtomId(); }
 
   /// Transaction commit path: first-committer-wins validation against
-  /// commits sequenced after `snapshot_seq`, then logs all `ops` plus a
-  /// commit record and applies them under the writer mutex. The WAL
-  /// fsync (when configured) happens *outside* the mutex via SyncBatch,
-  /// so concurrent committers share one group fsync.
+  /// commits sequenced after `snapshot_seq`, re-stamping of the VALID
+  /// FROM NOW ops, and a re-check of the re-stamped ops folded in order
+  /// over `tails` (each written entity's tail at the snapshot); then
+  /// logs all `ops` plus a commit record and applies them under the
+  /// writer mutex. The WAL fsync (when configured) happens *outside* the
+  /// mutex via SyncBatch, so concurrent committers share one group fsync.
   Status CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
-                   uint64_t snapshot_seq);
+                   uint64_t snapshot_seq,
+                   std::map<TxnWriteKey, TimelineTail> tails);
 
   /// Transaction::Abort's notification: unregisters the transaction
   /// from conflict tracking and emits the abort trace event.

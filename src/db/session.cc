@@ -19,6 +19,7 @@ Result<std::unique_ptr<Cursor>> Session::Query(const std::string& mql) {
   TCOB_ASSIGN_OR_RETURN(Statement stmt, Parser::Parse(mql));
   const double parse_us = parse_timer.ElapsedUs();
   if (const SelectStmt* select = std::get_if<SelectStmt>(&stmt)) {
+    TCOB_RETURN_NOT_OK(CheckAlive());
     db_->statements_total_.Increment();
     return db_->NewSelectCursor(*select, &mql, parse_us, stats_slot(),
                                 txn());
@@ -59,6 +60,14 @@ Result<ResultSet> Session::Explain(const std::string& select_mql,
   return Dispatch(stmt, &select_mql, parse_us);
 }
 
+Status Session::CheckAlive() const {
+  if (!temporary_ && db_alive_.expired()) {
+    return Status::FailedPrecondition(
+        "session outlived its database; it can no longer be used");
+  }
+  return Status::OK();
+}
+
 Result<ResultSet> Session::RunSelect(const SelectStmt& stmt,
                                      const std::string* text,
                                      double parse_us, QueryStats* stats) {
@@ -80,6 +89,7 @@ Result<ResultSet> Session::RunSelect(const SelectStmt& stmt,
 Result<ResultSet> Session::Dispatch(const Statement& stmt,
                                     const std::string* text,
                                     double parse_us) {
+  TCOB_RETURN_NOT_OK(CheckAlive());
   Database& db = *db_;
   TCOB_RETURN_NOT_OK(db.CheckReadable());
   db.statements_total_.Increment();

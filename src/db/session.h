@@ -21,7 +21,8 @@ class Database;
 /// BEGIN; opened (if any) and the trace of its own last SELECT. Any
 /// number of sessions may run against one Database from different
 /// threads; each session is used by one thread at a time, needs no
-/// lock, and must not outlive its Database. Drain or Close a session's
+/// lock, and fails every call with FailedPrecondition once its Database
+/// is destroyed (it never touches freed memory). Drain or Close a session's
 /// cursor before its next statement and before the session is moved or
 /// destroyed: the cursor hands its trace to the session when it ends.
 ///
@@ -63,9 +64,17 @@ class Session {
  private:
   friend class Database;
 
-  /// `temporary`: the auto-commit session behind Database::Execute and
-  /// Query, which refuses BEGIN and records no trace.
-  Session(Database* db, bool temporary) : db_(db), temporary_(temporary) {}
+  /// A session of OpenSession(); `db_alive` expires with the Database.
+  Session(Database* db, std::weak_ptr<void> db_alive)
+      : db_(db), db_alive_(std::move(db_alive)), temporary_(false) {}
+
+  /// The temporary auto-commit session behind Database::Execute and
+  /// Query: it refuses BEGIN, records no trace, and cannot outlive the
+  /// call, so it skips the liveness check.
+  explicit Session(Database* db) : db_(db), temporary_(true) {}
+
+  /// FailedPrecondition once the Database is gone.
+  Status CheckAlive() const;
 
   /// The statement dispatch; `text` (may be null) and `parse_us` flow
   /// into the SELECT trace.
@@ -84,6 +93,9 @@ class Session {
   QueryStats* stats_slot() { return temporary_ ? nullptr : &last_stats_; }
 
   Database* db_;
+  /// Expires when the Database is destroyed; checked before every
+  /// dereference of db_ (empty, and never checked, when temporary).
+  std::weak_ptr<void> db_alive_;
   bool temporary_;
   std::optional<Transaction> txn_;
   QueryStats last_stats_;

@@ -18,8 +18,7 @@ Transaction::Transaction(Transaction&& other) noexcept
       local_now_(other.local_now_),
       active_(other.active_),
       ops_(std::move(other.ops_)),
-      atoms_(std::move(other.atoms_)),
-      links_(std::move(other.links_)) {
+      written_(std::move(other.written_)) {
   // The moved-from shell must not abort (and unregister) the live
   // transaction from its destructor.
   other.active_ = false;
@@ -43,257 +42,148 @@ void Transaction::Abort() {
     if (alive != nullptr) db_->OnTxnAborted(txn_id_);
   }
   ops_.clear();
-  atoms_.clear();
-  links_.clear();
+  written_.clear();
   active_ = false;
 }
 
-Result<Transaction::AtomOverlay*> Transaction::OverlayFor(
-    const std::string& type_name, AtomId id, Timestamp as_of) {
-  auto it = atoms_.find(id);
-  if (it != atoms_.end()) return &it->second;
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        db_->catalog().GetAtomTypeByName(type_name));
-  AtomOverlay overlay;
-  overlay.type = type->id;
-  Result<std::vector<AtomVersion>> versions =
-      db_->store()->GetVersions(*type, id, Interval::All());
-  if (versions.ok() && !versions.value().empty()) {
-    // Snapshot read: versions beginning after the snapshot were
-    // committed after Begin() and stay invisible; a version closed
-    // after the snapshot is still open as far as this transaction can
-    // see (the closing writer wins the conflict check if we collide).
-    std::vector<AtomVersion>& all = versions.value();
-    const AtomVersion* visible = nullptr;
-    for (const AtomVersion& v : all) {
-      if (v.valid.begin <= snapshot_) visible = &v;
-    }
-    if (visible != nullptr) {
-      const bool live_at_snapshot =
-          visible->valid.open_ended() || visible->valid.end > snapshot_;
-      overlay.exists = true;
-      overlay.live = live_at_snapshot;
-      overlay.live_begin = visible->valid.begin;
-      overlay.last_end = live_at_snapshot ? kMinTimestamp
-                                          : visible->valid.end;
-      overlay.attrs = visible->attrs;
-    }
-  } else if (!versions.ok() && !versions.status().IsNotFound()) {
-    return versions.status();
-  }
-  (void)as_of;
-  auto [pos, inserted] = atoms_.emplace(id, std::move(overlay));
-  (void)inserted;
-  return &pos->second;
-}
-
-Result<Transaction::LinkOverlay*> Transaction::LinkOverlayFor(
-    const std::string& link_name, LinkTypeId link_id, AtomId from, AtomId to,
-    Timestamp as_of) {
-  (void)as_of;
-  auto key = std::make_tuple(link_id, from, to);
-  auto it = links_.find(key);
-  if (it != links_.end()) return &it->second;
-  TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
-                        db_->catalog().GetLinkTypeByName(link_name));
-  LinkOverlay overlay;
-  overlay.initialized_from_store = true;
-  TCOB_ASSIGN_OR_RETURN(
-      auto spans, db_->links()->NeighborsIn(*link, from, /*forward=*/true,
-                                            Interval::All()));
-  for (const auto& [other, valid] : spans) {
-    if (other != to) continue;
-    // Same snapshot rule as atoms: intervals beginning after the
-    // snapshot do not exist yet, and one closed after it is still open
-    // from this transaction's viewpoint.
-    if (valid.begin > snapshot_) continue;
-    if (valid.open_ended() || valid.end > snapshot_) {
-      overlay.open = true;
-      overlay.open_begin = valid.begin;
-    } else if (valid.end > overlay.last_end) {
-      overlay.last_end = valid.end;
-    }
-  }
-  auto [pos, inserted] = links_.emplace(key, overlay);
-  (void)inserted;
-  return &pos->second;
-}
-
-Result<AtomId> Transaction::InsertAtom(
-    const std::string& type_name,
-    const std::vector<std::pair<std::string, Value>>& assignments,
-    Timestamp from, bool from_now) {
-  TCOB_RETURN_NOT_OK(CheckUsable());
-  if (from_now) from = local_now_;
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        db_->catalog().GetAtomTypeByName(type_name));
-  TCOB_ASSIGN_OR_RETURN(
-      std::vector<Value> values,
-      Database::ResolveAssignmentsFor(*type, assignments, nullptr));
-  AtomId id = db_->AllocateAtomId();
-  AtomOverlay overlay;
-  overlay.type = type->id;
-  overlay.exists = true;
-  overlay.live = true;
-  overlay.live_begin = from;
-  overlay.attrs = values;
-  atoms_[id] = std::move(overlay);
-
+WalOp Transaction::NewOp(WalOpType type, Timestamp from, bool from_now) const {
   WalOp op;
-  op.type = WalOpType::kInsertAtom;
+  op.type = type;
   op.txn_id = txn_id_;
   op.stamped_now = from_now;
-  op.atom_id = id;
-  op.atom_type = type->id;
-  op.valid_from = from;
-  op.attrs = std::move(values);
+  op.valid_from = from_now ? local_now_ : from;
+  return op;
+}
+
+Result<Transaction::Written*> Transaction::WrittenFor(const WalOp& op) {
+  const TxnWriteKey key = WriteKeyForOp(op);
+  auto it = written_.find(key);
+  if (it != written_.end()) {
+    // An atom id names an atom of one type; under any other type the
+    // atom does not exist.
+    if (it->second.type == op.atom_type) return &it->second;
+    return TimelineTail::Atom(op.atom_id).Close(op.valid_from);
+  }
+  // Snapshot read: what committed after Begin() stays invisible, and an
+  // interval closed after the snapshot is still open as far as this
+  // transaction can see (the closing writer wins the conflict check if
+  // we collide).
+  Written w;
+  w.type = op.atom_type;
+  if (key.kind == TxnWriteKey::Kind::kLink) {
+    TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
+                          db_->catalog().GetLinkType(op.link_type));
+    TCOB_ASSIGN_OR_RETURN(w.tail, db_->links()->PairTail(*link, op.from_id,
+                                                         op.to_id, snapshot_));
+  } else if (op.type == WalOpType::kInsertAtom) {
+    w.tail = TimelineTail::Atom(op.atom_id);  // a fresh id: nothing to read
+  } else {
+    TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
+                          db_->catalog().GetAtomType(op.atom_type));
+    std::optional<AtomVersion> version;
+    TCOB_ASSIGN_OR_RETURN(w.tail, db_->store()->TailAsOf(*type, op.atom_id,
+                                                         snapshot_, &version));
+    if (version.has_value()) w.attrs = std::move(version->attrs);
+  }
+  w.at_snapshot = w.tail;
+  return &written_.emplace(key, std::move(w)).first->second;
+}
+
+Status Transaction::Buffer(WalOp op, const AtomTypeDef* type,
+                           const Assignments* assignments) {
+  TCOB_ASSIGN_OR_RETURN(Written * w, WrittenFor(op));
+  TimelineTail tail = w->tail;
+  TCOB_RETURN_NOT_OK(StepTail(op, &tail));
+  if (assignments != nullptr) {
+    // UPDATE: unlisted attributes carry over from the live version,
+    // seeing this transaction's own pending updates.
+    TCOB_ASSIGN_OR_RETURN(
+        op.attrs, Database::ResolveAssignmentsFor(*type, *assignments,
+                                                  &w->attrs));
+  }
+  w->tail = tail;
+  if (op.type == WalOpType::kInsertAtom ||
+      op.type == WalOpType::kUpdateAtom) {
+    w->attrs = op.attrs;
+  }
+  ObserveLocal(op.valid_from);
   ops_.push_back(std::move(op));
-  ObserveLocal(from);
+  return Status::OK();
+}
+
+Result<AtomId> Transaction::InsertAtom(const std::string& type_name,
+                                       const Assignments& assignments,
+                                       Timestamp from, bool from_now) {
+  TCOB_RETURN_NOT_OK(CheckUsable());
+  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
+                        db_->catalog().GetAtomTypeByName(type_name));
+  WalOp op = NewOp(WalOpType::kInsertAtom, from, from_now);
+  TCOB_ASSIGN_OR_RETURN(
+      op.attrs, Database::ResolveAssignmentsFor(*type, assignments, nullptr));
+  op.atom_id = db_->AllocateAtomId();
+  op.atom_type = type->id;
+  const AtomId id = op.atom_id;
+  TCOB_RETURN_NOT_OK(Buffer(std::move(op), nullptr, nullptr));
   return id;
 }
 
-Status Transaction::UpdateAtom(
-    const std::string& type_name, AtomId id,
-    const std::vector<std::pair<std::string, Value>>& assignments,
-    Timestamp from, bool from_now) {
+Status Transaction::UpdateAtom(const std::string& type_name, AtomId id,
+                               const Assignments& assignments, Timestamp from,
+                               bool from_now) {
   TCOB_RETURN_NOT_OK(CheckUsable());
-  if (from_now) from = local_now_;
   TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
                         db_->catalog().GetAtomTypeByName(type_name));
-  TCOB_ASSIGN_OR_RETURN(AtomOverlay * overlay,
-                        OverlayFor(type_name, id, from));
-  if (!overlay->exists) {
-    return Status::NotFound("update of unknown atom " + std::to_string(id));
-  }
-  if (!overlay->live) {
-    return Status::InvalidArgument("update of a dead atom");
-  }
-  if (from <= overlay->live_begin) {
-    return Status::InvalidArgument(
-        "update must be after the live version's begin");
-  }
-  TCOB_ASSIGN_OR_RETURN(std::vector<Value> values,
-                        Database::ResolveAssignmentsFor(*type, assignments,
-                                                        &overlay->attrs));
-  overlay->live_begin = from;
-  overlay->attrs = values;
-
-  WalOp op;
-  op.type = WalOpType::kUpdateAtom;
-  op.txn_id = txn_id_;
-  op.stamped_now = from_now;
+  WalOp op = NewOp(WalOpType::kUpdateAtom, from, from_now);
   op.atom_id = id;
   op.atom_type = type->id;
-  op.valid_from = from;
-  op.attrs = std::move(values);
-  ops_.push_back(std::move(op));
-  ObserveLocal(from);
-  return Status::OK();
+  return Buffer(std::move(op), type, &assignments);
 }
 
 Status Transaction::DeleteAtom(const std::string& type_name, AtomId id,
                                Timestamp from, bool from_now) {
   TCOB_RETURN_NOT_OK(CheckUsable());
-  if (from_now) from = local_now_;
   TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
                         db_->catalog().GetAtomTypeByName(type_name));
-  TCOB_ASSIGN_OR_RETURN(AtomOverlay * overlay,
-                        OverlayFor(type_name, id, from));
-  if (!overlay->exists) {
-    return Status::NotFound("delete of unknown atom " + std::to_string(id));
-  }
-  if (!overlay->live) {
-    return Status::InvalidArgument("delete of a dead atom");
-  }
-  if (from <= overlay->live_begin) {
-    return Status::InvalidArgument(
-        "delete must be after the live version's begin");
-  }
-  overlay->live = false;
-  overlay->last_end = from;
-
-  WalOp op;
-  op.type = WalOpType::kDeleteAtom;
-  op.txn_id = txn_id_;
-  op.stamped_now = from_now;
+  WalOp op = NewOp(WalOpType::kDeleteAtom, from, from_now);
   op.atom_id = id;
   op.atom_type = type->id;
-  op.valid_from = from;
-  ops_.push_back(std::move(op));
-  ObserveLocal(from);
-  return Status::OK();
+  return Buffer(std::move(op), nullptr, nullptr);
 }
 
 Status Transaction::Connect(const std::string& link_name, AtomId from_id,
                             AtomId to_id, Timestamp at, bool from_now) {
-  TCOB_RETURN_NOT_OK(CheckUsable());
-  if (from_now) at = local_now_;
-  TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
-                        db_->catalog().GetLinkTypeByName(link_name));
-  TCOB_ASSIGN_OR_RETURN(
-      LinkOverlay * overlay,
-      LinkOverlayFor(link_name, link->id, from_id, to_id, at));
-  if (overlay->open) {
-    return Status::AlreadyExists("link already connected");
-  }
-  if (at < overlay->last_end) {
-    return Status::InvalidArgument(
-        "connect overlaps a previous connection interval");
-  }
-  overlay->open = true;
-  overlay->open_begin = at;
-
-  WalOp op;
-  op.type = WalOpType::kConnect;
-  op.txn_id = txn_id_;
-  op.stamped_now = from_now;
-  op.link_type = link->id;
-  op.from_id = from_id;
-  op.to_id = to_id;
-  op.valid_from = at;
-  ops_.push_back(std::move(op));
-  ObserveLocal(at);
-  return Status::OK();
+  return BufferLink(WalOpType::kConnect, link_name, from_id, to_id, at,
+                    from_now);
 }
 
 Status Transaction::Disconnect(const std::string& link_name, AtomId from_id,
                                AtomId to_id, Timestamp at, bool from_now) {
+  return BufferLink(WalOpType::kDisconnect, link_name, from_id, to_id, at,
+                    from_now);
+}
+
+Status Transaction::BufferLink(WalOpType type, const std::string& link_name,
+                               AtomId from_id, AtomId to_id, Timestamp at,
+                               bool from_now) {
   TCOB_RETURN_NOT_OK(CheckUsable());
-  if (from_now) at = local_now_;
   TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
                         db_->catalog().GetLinkTypeByName(link_name));
-  TCOB_ASSIGN_OR_RETURN(
-      LinkOverlay * overlay,
-      LinkOverlayFor(link_name, link->id, from_id, to_id, at));
-  if (!overlay->open) {
-    return Status::NotFound("no open connection to disconnect");
-  }
-  if (at <= overlay->open_begin) {
-    return Status::InvalidArgument("disconnect before the connection began");
-  }
-  overlay->open = false;
-  overlay->last_end = at;
-
-  WalOp op;
-  op.type = WalOpType::kDisconnect;
-  op.txn_id = txn_id_;
-  op.stamped_now = from_now;
+  WalOp op = NewOp(type, at, from_now);
   op.link_type = link->id;
   op.from_id = from_id;
   op.to_id = to_id;
-  op.valid_from = at;
-  ops_.push_back(std::move(op));
-  ObserveLocal(at);
-  return Status::OK();
+  return Buffer(std::move(op), nullptr, nullptr);
 }
 
 Status Transaction::Commit() {
   TCOB_RETURN_NOT_OK(CheckUsable());
-  Status committed = db_->CommitOps(txn_id_, ops_, snapshot_seq_);
+  std::map<TxnWriteKey, TimelineTail> tails;
+  for (const auto& [key, w] : written_) tails.emplace(key, w.at_snapshot);
+  Status committed =
+      db_->CommitOps(txn_id_, ops_, snapshot_seq_, std::move(tails));
   active_ = false;
   ops_.clear();
-  atoms_.clear();
-  links_.clear();
+  written_.clear();
   return committed;
 }
 

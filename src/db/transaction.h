@@ -6,9 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "catalog/schema.h"
 #include "common/result.h"
+#include "db/txn_manager.h"
 #include "record/value.h"
-#include "time/timestamp.h"
+#include "time/timeline.h"
 #include "wal/log_record.h"
 
 namespace tcob {
@@ -19,9 +21,11 @@ class Database;
 ///
 /// Begin() captures a snapshot: the valid-time instant just before the
 /// database's NOW and the commit sequence current at that moment.
-/// Operations are validated eagerly against that snapshot (plus this
-/// transaction's own pending effects, via the overlays below) and
-/// buffered; nothing touches the stores or the WAL until Commit.
+/// Each operation is checked eagerly with the valid-time mutation rule
+/// (TimelineTail, time/timeline.h) against its entity's tail — read once
+/// at the snapshot, then advanced by this transaction's own buffered
+/// operations — and buffered; nothing touches the stores or the WAL
+/// until Commit.
 /// VALID FROM NOW operations carry a provisional stamp from the
 /// transaction-local clock while buffered and are re-stamped to the
 /// commit instant inside Commit's critical section, so a commit can
@@ -60,21 +64,21 @@ class Transaction {
   /// unregisters on destruction.
   Transaction(Transaction&& other) noexcept;
 
+  using Assignments = std::vector<std::pair<std::string, Value>>;
+
   /// Buffers an insert; returns the atom id the insert will create.
   /// With `from_now`, `from` is ignored: the operation is stamped with
   /// the transaction-local clock (see local_now()) and re-stamped to
   /// the commit instant when the transaction commits.
-  Result<AtomId> InsertAtom(
-      const std::string& type_name,
-      const std::vector<std::pair<std::string, Value>>& assignments,
-      Timestamp from, bool from_now = false);
+  Result<AtomId> InsertAtom(const std::string& type_name,
+                            const Assignments& assignments, Timestamp from,
+                            bool from_now = false);
 
   /// Buffers a partial update (unlisted attributes carry over, seeing
   /// this transaction's own pending updates).
   Status UpdateAtom(const std::string& type_name, AtomId id,
-                    const std::vector<std::pair<std::string, Value>>&
-                        assignments,
-                    Timestamp from, bool from_now = false);
+                    const Assignments& assignments, Timestamp from,
+                    bool from_now = false);
 
   Status DeleteAtom(const std::string& type_name, AtomId id, Timestamp from,
                     bool from_now = false);
@@ -126,24 +130,12 @@ class Transaction {
   /// was destroyed — a Transaction never dereferences a dead Database).
   Status CheckUsable() const;
 
-  /// Pending per-atom view: what the atom will look like if this
-  /// transaction commits. Lazily initialized from the committed state
-  /// as of the snapshot.
-  struct AtomOverlay {
-    bool exists = false;  // has any version (committed or pending)
-    bool live = false;
-    Timestamp live_begin = kMinTimestamp;
-    Timestamp last_end = kMinTimestamp;  // end of newest closed version
-    TypeId type = kInvalidTypeId;
-    std::vector<Value> attrs;  // of the live version
-  };
-
-  /// Pending link-pair view.
-  struct LinkOverlay {
-    bool open = false;
-    Timestamp open_begin = kMinTimestamp;
-    Timestamp last_end = kMinTimestamp;
-    bool initialized_from_store = false;
+  /// What this transaction knows of one entity it writes.
+  struct Written {
+    TypeId type = kInvalidTypeId;  // the op's atom type (links: none)
+    TimelineTail at_snapshot;  // as the snapshot saw it
+    TimelineTail tail;         // after this transaction's buffered ops
+    std::vector<Value> attrs;  // an atom's live attributes (UPDATE's base)
   };
 
   /// Pulls the transaction-local clock past a buffered stamp (the
@@ -152,11 +144,23 @@ class Transaction {
     if (from >= local_now_) local_now_ = from + 1;
   }
 
-  Result<AtomOverlay*> OverlayFor(const std::string& type_name, AtomId id,
-                                  Timestamp as_of);
-  Result<LinkOverlay*> LinkOverlayFor(const std::string& link_name,
-                                      LinkTypeId link_id, AtomId from,
-                                      AtomId to, Timestamp as_of);
+  /// A WalOp of this transaction stamped `from`, or the local clock.
+  WalOp NewOp(WalOpType type, Timestamp from, bool from_now) const;
+
+  /// The entry of the entity `op` writes; on first touch its tail is
+  /// read at the snapshot with one point read (TemporalAtomStore::TailAsOf
+  /// or LinkStore::PairTail).
+  Result<Written*> WrittenFor(const WalOp& op);
+
+  /// Checks `op` with the rule against its entity's tail and buffers it.
+  /// An UPDATE passes its `type` and `assignments`, resolved over the
+  /// carried-over attributes; every other operation passes nulls.
+  Status Buffer(WalOp op, const AtomTypeDef* type,
+                const Assignments* assignments);
+
+  Status BufferLink(WalOpType type, const std::string& link_name,
+                    AtomId from_id, AtomId to_id, Timestamp at,
+                    bool from_now);
 
   Database* db_;
   /// Expires when the owning Database is destroyed; checked before
@@ -170,8 +174,7 @@ class Transaction {
   Timestamp local_now_ = kMinTimestamp;
   bool active_ = true;
   std::vector<WalOp> ops_;
-  std::map<AtomId, AtomOverlay> atoms_;
-  std::map<std::tuple<LinkTypeId, AtomId, AtomId>, LinkOverlay> links_;
+  std::map<TxnWriteKey, Written> written_;
 };
 
 }  // namespace tcob

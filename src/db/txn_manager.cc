@@ -28,6 +28,24 @@ TxnWriteKey WriteKeyForOp(const WalOp& op) {
   return key;
 }
 
+Status StepTail(const WalOp& op, TimelineTail* tail) {
+  switch (op.type) {
+    case WalOpType::kInsertAtom:
+    case WalOpType::kConnect:
+      return tail->Open(op.valid_from);
+    case WalOpType::kUpdateAtom:
+      TCOB_RETURN_NOT_OK(tail->Close(op.valid_from));
+      return tail->Open(op.valid_from);
+    case WalOpType::kDeleteAtom:
+    case WalOpType::kDisconnect:
+      return tail->Close(op.valid_from);
+    case WalOpType::kCommit:
+    case WalOpType::kCheckpoint:
+      break;
+  }
+  return Status::OK();
+}
+
 uint64_t TxnManager::BeginTxn(uint64_t txn_id, Timestamp at) {
   std::lock_guard<std::mutex> lk(mu_);
   active_[txn_id] = Snapshot{commit_seq_, at};

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "time/timeline.h"
 #include "wal/log_record.h"
 
 namespace tcob {
@@ -34,6 +35,12 @@ struct TxnWriteKey {
 /// The conflict key of one logged operation (kCommit/kCheckpoint
 /// records carry no key and must not be passed here).
 TxnWriteKey WriteKeyForOp(const WalOp& op);
+
+/// Checks one logged operation against its entity's timeline tail with
+/// the valid-time mutation rule and, if it passes, advances the tail:
+/// INSERT and CONNECT open an interval at op.valid_from, DELETE and
+/// DISCONNECT close it there, UPDATE does both.
+Status StepTail(const WalOp& op, TimelineTail* tail);
 
 /// Snapshot-isolation bookkeeping for the Database: a commit clock,
 /// the set of active transactions (with the commit sequence each one

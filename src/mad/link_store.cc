@@ -46,19 +46,7 @@ Result<LinkStore::LinkState*> LinkStore::StateOf(LinkTypeId link) const {
 Status LinkStore::Connect(const LinkTypeDef& link, AtomId from, AtomId to,
                           Timestamp at) {
   TCOB_ASSIGN_OR_RETURN(LinkState * state, StateOf(link.id));
-  auto it = state->fwd.find(from);
-  if (it != state->fwd.end()) {
-    for (const LinkEntry& e : it->second) {
-      if (e.other != to) continue;
-      if (e.valid.open_ended()) {
-        return Status::AlreadyExists("link already connected");
-      }
-      if (at < e.valid.end) {
-        return Status::InvalidArgument(
-            "connect overlaps a previous connection interval");
-      }
-    }
-  }
+  TCOB_RETURN_NOT_OK(TailIn(*state, from, to, kForever, nullptr).Open(at));
   Interval valid(at, kForever);
   std::string rec;
   EncodeLink(from, to, valid, &rec);
@@ -71,37 +59,43 @@ Status LinkStore::Connect(const LinkTypeDef& link, AtomId from, AtomId to,
 Status LinkStore::Disconnect(const LinkTypeDef& link, AtomId from, AtomId to,
                              Timestamp at) {
   TCOB_ASSIGN_OR_RETURN(LinkState * state, StateOf(link.id));
-  auto it = state->fwd.find(from);
-  if (it == state->fwd.end()) {
-    return Status::NotFound("no connection to disconnect");
+  LinkEntry* e = nullptr;
+  TCOB_RETURN_NOT_OK(TailIn(*state, from, to, kForever, &e).Close(at));
+  Interval closed(e->valid.begin, at);
+  std::string rec;
+  EncodeLink(from, to, closed, &rec);
+  TCOB_ASSIGN_OR_RETURN(Rid new_rid, state->heap->Update(e->rid, rec));
+  // Mirror in the reverse index.
+  for (LinkEntry& r : state->rev[to]) {
+    if (r.other == from && r.rid == e->rid) {
+      r.valid = closed;
+      r.rid = new_rid;
+      break;
+    }
   }
+  e->valid = closed;
+  e->rid = new_rid;
+  return Status::OK();
+}
+
+Result<TimelineTail> LinkStore::PairTail(const LinkTypeDef& link,
+                                         AtomId from, AtomId to,
+                                         Timestamp as_of) const {
+  TCOB_ASSIGN_OR_RETURN(LinkState * state, StateOf(link.id));
+  return TailIn(*state, from, to, as_of, nullptr);
+}
+
+TimelineTail LinkStore::TailIn(LinkState& state, AtomId from, AtomId to,
+                               Timestamp as_of, LinkEntry** open_entry) {
+  TimelineTail tail = TimelineTail::Link(from, to);
+  auto it = state.fwd.find(from);
+  if (it == state.fwd.end()) return tail;
   for (LinkEntry& e : it->second) {
-    if (e.other != to || !e.valid.open_ended()) continue;
-    if (at <= e.valid.begin) {
-      return Status::InvalidArgument(
-          "disconnect before the connection began");
-    }
-    Interval closed(e.valid.begin, at);
-    std::string rec;
-    EncodeLink(from, to, closed, &rec);
-    TCOB_ASSIGN_OR_RETURN(Rid new_rid, state->heap->Update(e.rid, rec));
-    e.valid = closed;
-    Rid old_rid = e.rid;
-    e.rid = new_rid;
-    // Mirror in the reverse index.
-    auto rit = state->rev.find(to);
-    if (rit != state->rev.end()) {
-      for (LinkEntry& r : rit->second) {
-        if (r.other == from && r.rid == old_rid) {
-          r.valid = closed;
-          r.rid = new_rid;
-          break;
-        }
-      }
-    }
-    return Status::OK();
+    if (e.other != to) continue;
+    tail.Fold(e.valid, as_of);
+    if (open_entry != nullptr && e.valid.open_ended()) *open_entry = &e;
   }
-  return Status::NotFound("no open connection to disconnect");
+  return tail;
 }
 
 Result<std::vector<AtomId>> LinkStore::NeighborsAsOf(const LinkTypeDef& link,

@@ -14,6 +14,7 @@
 #include "record/value.h"
 #include "storage/heap_file.h"
 #include "time/interval.h"
+#include "time/timeline.h"
 
 namespace tcob {
 
@@ -32,11 +33,12 @@ struct LinkEntry {
 /// [from][to][begin][end]) plus an in-memory adjacency index in both
 /// directions, rebuilt on open.
 ///
-/// Mutations follow the same valid-time contract as atoms: each one
-/// either applies or fails (a second Connect of an open link is
-/// AlreadyExists, a Disconnect without an open link NotFound). WAL replay
-/// applies each record exactly once (see Database::Recover), so no
-/// mutation has to recognise its own effects.
+/// Connect opens an interval of the pair and Disconnect closes it, each
+/// checked with the valid-time mutation rule (TimelineTail,
+/// time/timeline.h) against the pair's adjacency entries: a mutation
+/// either applies or fails with the rule's status. WAL replay applies
+/// each record exactly once (see Database::Recover), so no mutation has
+/// to recognise its own effects.
 class LinkStore {
  public:
   LinkStore(BufferPool* pool, std::string file_prefix)
@@ -49,6 +51,11 @@ class LinkStore {
   /// Severs the open connection `from` -> `to` at `at`.
   Status Disconnect(const LinkTypeDef& link, AtomId from, AtomId to,
                     Timestamp at);
+
+  /// The timeline tail of the pair `from` -> `to` as a reader at `as_of`
+  /// sees it (see TimelineTail::Fold); kForever sees every interval.
+  Result<TimelineTail> PairTail(const LinkTypeDef& link, AtomId from,
+                                AtomId to, Timestamp as_of) const;
 
   /// Partners of `atom` over `link` valid at `t`. `forward` means `atom`
   /// is on the link's from-side.
@@ -90,6 +97,11 @@ class LinkStore {
   };
 
   Result<LinkState*> StateOf(LinkTypeId link) const;
+
+  /// PairTail over `state`; `open_entry` (may be null) receives the
+  /// pair's open-ended forward entry, if any.
+  static TimelineTail TailIn(LinkState& state, AtomId from, AtomId to,
+                             Timestamp as_of, LinkEntry** open_entry);
 
   static void EncodeLink(AtomId from, AtomId to, const Interval& valid,
                          std::string* dst);

@@ -68,8 +68,8 @@ class SimModel {
   /// Would UpdateAtom succeed? False predicts an error: NotFound when
   /// the typed store holds no versions at all for the id (never
   /// inserted, fully vacuumed, or stored under another type) and
-  /// InvalidArgument ("no version just before") when versions exist but
-  /// none is current. The harness accepts either code — which one fires
+  /// InvalidArgument ("atom N is not live") when versions exist but none
+  /// is current. The harness accepts either code — which one fires
   /// depends on physical state the model deliberately does not track.
   bool CanUpdate(uint32_t type_pos, AtomId id, Timestamp from) const;
   void UpdateAtom(uint32_t type_pos, AtomId id,

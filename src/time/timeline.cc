@@ -4,39 +4,83 @@
 
 namespace tcob {
 
-Status VersionTimeline::Append(const Interval& valid, uint64_t payload) {
-  if (valid.empty()) {
-    return Status::InvalidArgument("timeline entry interval is empty");
+/// "atom 7" or "link 1->3", for the rule's messages.
+static std::string NameOf(const TimelineTail& tail) {
+  return tail.kind == TimelineTail::Kind::kAtom
+             ? "atom " + std::to_string(tail.id)
+             : "link " + std::to_string(tail.id) + "->" +
+                   std::to_string(tail.to);
+}
+
+void TimelineTail::After(const Interval& newest) {
+  exists = true;
+  open = newest.open_ended();
+  if (open) {
+    begin = newest.begin;
+  } else {
+    last_end = newest.end;
   }
-  if (!entries_.empty()) {
-    const Interval& last = entries_.back().valid;
-    if (last.open_ended()) {
-      return Status::InvalidArgument(
-          "cannot append after an open-ended timeline entry; close it first");
-    }
-    if (valid.begin < last.end) {
-      return Status::InvalidArgument("timeline entries must not overlap: " +
-                                     valid.ToString() + " vs " +
-                                     last.ToString());
-    }
+}
+
+void TimelineTail::Fold(const Interval& valid, Timestamp as_of) {
+  if (valid.begin > as_of) return;
+  exists = true;
+  if (valid.open_ended() || valid.end > as_of) {
+    open = true;
+    begin = valid.begin;
+  } else {
+    last_end = std::max(last_end, valid.end);
   }
-  entries_.push_back({valid, payload});
+}
+
+Status TimelineTail::Open(Timestamp t) {
+  const bool atom = kind == Kind::kAtom;
+  if (open) {
+    return Status::AlreadyExists(NameOf(*this) + " is already " +
+                                 (atom ? "live" : "connected") + " (since " +
+                                 TimestampToString(begin) + ")");
+  }
+  if (t < last_end) {
+    return Status::InvalidArgument(
+        NameOf(*this) + " cannot " + (atom ? "become live" : "connect") +
+        " at " + TimestampToString(t) + ": its last " +
+        (atom ? "version" : "connection") + " ended at " +
+        TimestampToString(last_end));
+  }
+  exists = true;
+  open = true;
+  begin = t;
   return Status::OK();
 }
 
-Status VersionTimeline::CloseLast(Timestamp at) {
-  if (entries_.empty()) {
-    return Status::InvalidArgument("timeline is empty");
+Status TimelineTail::Close(Timestamp t) {
+  const bool atom = kind == Kind::kAtom;
+  if (!open) {
+    if (!atom) return Status::NotFound(NameOf(*this) + " is not connected");
+    if (!exists) return Status::NotFound(NameOf(*this) + " does not exist");
+    return Status::InvalidArgument(NameOf(*this) + " is not live");
   }
-  Interval& last = entries_.back().valid;
-  if (!last.open_ended()) {
-    return Status::InvalidArgument("last timeline entry is already closed");
-  }
-  if (at <= last.begin) {
+  if (t <= begin) {
     return Status::InvalidArgument(
-        "close point must be after the last entry's begin");
+        NameOf(*this) + " cannot change at " + TimestampToString(t) +
+        ": its " + (atom ? "live version" : "connection") + " began at " +
+        TimestampToString(begin));
   }
-  last.end = at;
+  open = false;
+  last_end = t;
+  return Status::OK();
+}
+
+Status VersionTimeline::Append(const Interval& valid, uint64_t payload) {
+  TimelineTail tail;
+  if (!entries_.empty()) tail.After(entries_.back().valid);
+  Status step = tail.Open(valid.begin);
+  if (step.ok() && !valid.open_ended()) step = tail.Close(valid.end);
+  if (!step.ok()) {
+    return Status::InvalidArgument("timeline entry " + valid.ToString() +
+                                   " does not follow " + ToString());
+  }
+  entries_.push_back({valid, payload});
   return Status::OK();
 }
 

@@ -12,6 +12,52 @@
 
 namespace tcob {
 
+/// The newest end of one entity's timeline: everything the valid-time
+/// mutation rule needs to know. Every mutation of an atom or a link pair
+/// is one step on it: open an interval at `t` (INSERT, re-insert,
+/// CONNECT), close the open one at `t` (DELETE, DISCONNECT), or both at
+/// the same instant (UPDATE). The stores, the link store, transactions
+/// and the commit path all check their mutations with Open/Close below,
+/// so each violation has one status class and one message everywhere.
+struct TimelineTail {
+  enum class Kind : uint8_t { kAtom, kLink };
+
+  /// The tail of an atom, or of the link pair `from` -> `to`, that has
+  /// no interval yet.
+  static TimelineTail Atom(uint64_t id) { return {Kind::kAtom, id, 0}; }
+  static TimelineTail Link(uint64_t from, uint64_t to) {
+    return {Kind::kLink, from, to};
+  }
+
+  /// Sets the tail to the one `newest`, the entity's latest interval,
+  /// leaves behind.
+  void After(const Interval& newest);
+
+  /// Folds one interval of the timeline (in any order) into the tail as
+  /// a reader at `as_of` sees it: an interval that begins after `as_of`
+  /// does not exist yet, and one that ends after it is still open.
+  void Fold(const Interval& valid, Timestamp as_of);
+
+  /// Opens an interval at `t`. Fails with AlreadyExists while one is
+  /// open, and with InvalidArgument before the last closed one's end
+  /// (opening exactly at that end is allowed).
+  Status Open(Timestamp t);
+
+  /// Closes the open interval at `t`. Fails with NotFound if there is
+  /// none and the entity does not exist (a link pair without an open
+  /// interval never exists for this purpose), with InvalidArgument if
+  /// the atom is not live, or if `t` is not after the interval's begin.
+  Status Close(Timestamp t);
+
+  Kind kind = Kind::kAtom;
+  uint64_t id = 0;  // the atom, or the pair's from-atom
+  uint64_t to = 0;  // the pair's to-atom
+  bool exists = false;                 // has had an interval
+  bool open = false;                   // its newest interval is open
+  Timestamp begin = kMinTimestamp;     // of the open interval
+  Timestamp last_end = kMinTimestamp;  // of the newest closed interval
+};
+
 /// One entry of a VersionTimeline: a validity interval tagged with an
 /// opaque payload handle (version number, RID, vector index — caller's
 /// choice).
@@ -31,12 +77,10 @@ class VersionTimeline {
   VersionTimeline() = default;
 
   /// Appends an entry; its interval must begin at or after the end of the
-  /// last entry (histories are built in chronological order).
+  /// last entry (histories are built in chronological order). The entry
+  /// opens at its begin and, unless open-ended, closes at its end: two
+  /// steps of the TimelineTail rule.
   Status Append(const Interval& valid, uint64_t payload);
-
-  /// Truncates the (open-ended) last entry to end at `at`. Fails unless a
-  /// last entry exists, is open-ended and begins before `at`.
-  Status CloseLast(Timestamp at);
 
   /// Payload valid at instant t, if any.
   std::optional<uint64_t> AsOf(Timestamp t) const;

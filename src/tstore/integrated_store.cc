@@ -99,23 +99,14 @@ Status IntegratedStore::Insert(const AtomTypeDef& type, AtomId id,
   TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
   Rid rid;
   Result<std::vector<AtomVersion>> existing = LoadCluster(type, id, &rid);
-  if (existing.ok()) {
-    std::vector<AtomVersion>& versions = existing.value();
-    const AtomVersion& last = versions.back();
-    if (last.valid.open_ended()) {
-      return Status::AlreadyExists("atom " + std::to_string(id) +
-                                   " already live");
-    }
-    if (from < last.valid.end) {
-      return Status::InvalidArgument("re-insert before previous deletion");
-    }
-    versions.push_back(AtomVersion{id, type.id, last.version_no + 1,
-                                   Interval(from, kForever),
-                                   std::move(attrs)});
-    return StoreCluster(type, id, rid, versions);
-  }
-  std::vector<AtomVersion> versions = {AtomVersion{
-      id, type.id, 1, Interval(from, kForever), std::move(attrs)}};
+  TCOB_ASSIGN_OR_RETURN(TimelineTail tail, ClusterTail(id, existing));
+  TCOB_RETURN_NOT_OK(tail.Open(from));
+  std::vector<AtomVersion> versions;
+  if (existing.ok()) versions = std::move(existing).value();
+  versions.push_back(AtomVersion{
+      id, type.id, versions.empty() ? 1u : versions.back().version_no + 1,
+      Interval(from, kForever), std::move(attrs)});
+  if (existing.ok()) return StoreCluster(type, id, rid, versions);
   std::string rec;
   TCOB_RETURN_NOT_OK(
       EncodeCluster(type.AttrTypes(), id, type.id, versions, &rec));
@@ -129,20 +120,8 @@ Status IntegratedStore::Update(const AtomTypeDef& type, AtomId id,
                                std::vector<Value> attrs, Timestamp from) {
   Rid rid;
   TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> versions,
-                        LoadCluster(type, id, &rid));
-  AtomVersion& current = versions.back();
-  if (!current.valid.open_ended()) {
-    return Status::InvalidArgument("update of a dead atom");
-  }
-  if (current.valid.begin == from) {
-    return Status::InvalidArgument(
-        "update at the exact begin of the current version");
-  }
-  if (from < current.valid.begin) {
-    return Status::InvalidArgument("retroactive update not supported");
-  }
-  current.valid.end = from;
-  versions.push_back(AtomVersion{id, type.id, current.version_no + 1,
+                        CloseLive(type, id, from, &rid));
+  versions.push_back(AtomVersion{id, type.id, versions.back().version_no + 1,
                                  Interval(from, kForever), std::move(attrs)});
   return StoreCluster(type, id, rid, versions);
 }
@@ -151,16 +130,24 @@ Status IntegratedStore::Delete(const AtomTypeDef& type, AtomId id,
                                Timestamp from) {
   Rid rid;
   TCOB_ASSIGN_OR_RETURN(std::vector<AtomVersion> versions,
-                        LoadCluster(type, id, &rid));
-  AtomVersion& current = versions.back();
-  if (!current.valid.open_ended()) {
-    return Status::InvalidArgument("delete of a dead atom");
-  }
-  if (from <= current.valid.begin) {
-    return Status::InvalidArgument("delete before the current version began");
-  }
-  current.valid.end = from;
+                        CloseLive(type, id, from, &rid));
   return StoreCluster(type, id, rid, versions);
+}
+
+Result<TimelineTail> IntegratedStore::ClusterTail(
+    AtomId id, const Result<std::vector<AtomVersion>>& cluster) {
+  if (cluster.ok()) return AtomTail(id, &cluster->back());
+  if (cluster.status().IsNotFound()) return AtomTail(id, nullptr);
+  return cluster.status();
+}
+
+Result<std::vector<AtomVersion>> IntegratedStore::CloseLive(
+    const AtomTypeDef& type, AtomId id, Timestamp from, Rid* rid) {
+  Result<std::vector<AtomVersion>> versions = LoadCluster(type, id, rid);
+  TCOB_ASSIGN_OR_RETURN(TimelineTail tail, ClusterTail(id, versions));
+  TCOB_RETURN_NOT_OK(tail.Close(from));
+  versions->back().valid.end = from;
+  return versions;
 }
 
 Result<std::optional<AtomVersion>> IntegratedStore::DoGetAsOf(

@@ -82,6 +82,18 @@ class IntegratedStore : public TemporalAtomStore {
   Result<std::vector<AtomVersion>> LoadCluster(const AtomTypeDef& type,
                                                AtomId id, Rid* rid_out) const;
 
+  /// The timeline tail of `id` after loading its cluster: a NotFound
+  /// load is an atom that does not exist; other errors are returned.
+  static Result<TimelineTail> ClusterTail(
+      AtomId id, const Result<std::vector<AtomVersion>>& cluster);
+
+  /// Loads the cluster of `id` (its location into `rid`) and closes the
+  /// live version at `from` (DELETE, and the first half of UPDATE). The
+  /// cluster is not stored.
+  Result<std::vector<AtomVersion>> CloseLive(const AtomTypeDef& type,
+                                             AtomId id, Timestamp from,
+                                             Rid* rid);
+
   Status StoreCluster(const AtomTypeDef& type, AtomId id, const Rid& rid,
                       const std::vector<AtomVersion>& versions);
 

@@ -151,26 +151,12 @@ Status SeparatedStore::Insert(const AtomTypeDef& type, AtomId id,
   TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
   Rid rid;
   Result<CurrentRecord> existing = LoadCurrent(type, id, &rid);
-  if (existing.ok()) {
-    CurrentRecord& rec = existing.value();
-    if (rec.has_live) {
-      return Status::AlreadyExists("atom " + std::to_string(id) +
-                                   " already live");
-    }
-    if (from < rec.last_end) {
-      return Status::InvalidArgument("re-insert before previous deletion");
-    }
-    rec.has_live = true;
-    rec.live = AtomVersion{id, type.id, rec.last_version_no + 1,
-                           Interval(from, kForever), std::move(attrs)};
-    rec.last_version_no = rec.live.version_no;
-    return StoreCurrent(type, id, rid, rec);
-  }
-  CurrentRecord rec;
-  rec.has_live = true;
-  rec.live = AtomVersion{id, type.id, 1, Interval(from, kForever),
-                         std::move(attrs)};
-  rec.last_version_no = 1;
+  TCOB_ASSIGN_OR_RETURN(TimelineTail tail, CurrentTail(id, existing));
+  TCOB_RETURN_NOT_OK(tail.Open(from));
+  CurrentRecord rec = existing.ok() ? std::move(existing).value()
+                                    : CurrentRecord();
+  OpenLive(&rec, type, id, std::move(attrs), from);
+  if (existing.ok()) return StoreCurrent(type, id, rid, rec);
   std::string bytes;
   TCOB_RETURN_NOT_OK(EncodeCurrent(type.AttrTypes(), rec, id, type.id, &bytes));
   TCOB_ASSIGN_OR_RETURN(Rid new_rid, state->current->Insert(bytes));
@@ -182,50 +168,56 @@ Status SeparatedStore::Insert(const AtomTypeDef& type, AtomId id,
 Status SeparatedStore::Update(const AtomTypeDef& type, AtomId id,
                               std::vector<Value> attrs, Timestamp from) {
   Rid rid;
-  TCOB_ASSIGN_OR_RETURN(CurrentRecord rec, LoadCurrent(type, id, &rid));
-  if (!rec.has_live) {
-    return Status::InvalidArgument("update of a dead atom");
-  }
-  if (rec.live.valid.begin == from) {
-    return Status::InvalidArgument(
-        "update at the exact begin of the current version");
-  }
-  if (from < rec.live.valid.begin) {
-    return Status::InvalidArgument("retroactive update not supported");
-  }
-  AtomVersion closed = rec.live;
-  closed.valid.end = from;
-  TCOB_ASSIGN_OR_RETURN(Rid new_head,
-                        AppendHistory(type, closed, rec.chain_head));
-  rec.chain_head = new_head;
-  ++rec.chain_len;
-  rec.last_end = from;
-  rec.live = AtomVersion{id, type.id, closed.version_no + 1,
-                         Interval(from, kForever), std::move(attrs)};
-  rec.last_version_no = rec.live.version_no;
+  TCOB_ASSIGN_OR_RETURN(CurrentRecord rec, CloseLive(type, id, from, &rid));
+  OpenLive(&rec, type, id, std::move(attrs), from);
   return StoreCurrent(type, id, rid, rec);
 }
 
 Status SeparatedStore::Delete(const AtomTypeDef& type, AtomId id,
                               Timestamp from) {
   Rid rid;
-  TCOB_ASSIGN_OR_RETURN(CurrentRecord rec, LoadCurrent(type, id, &rid));
-  if (!rec.has_live) {
-    return Status::InvalidArgument("delete of a dead atom");
+  TCOB_ASSIGN_OR_RETURN(CurrentRecord rec, CloseLive(type, id, from, &rid));
+  return StoreCurrent(type, id, rid, rec);
+}
+
+Result<TimelineTail> SeparatedStore::CurrentTail(
+    AtomId id, const Result<CurrentRecord>& current) {
+  TimelineTail tail = TimelineTail::Atom(id);
+  if (!current.ok()) {
+    if (current.status().IsNotFound()) return tail;
+    return current.status();
   }
-  if (from <= rec.live.valid.begin) {
-    return Status::InvalidArgument("delete before the current version began");
-  }
-  AtomVersion closed = rec.live;
+  tail.exists = true;
+  tail.open = current->has_live;
+  tail.begin = current->live.valid.begin;
+  tail.last_end = current->last_end;
+  return tail;
+}
+
+Result<SeparatedStore::CurrentRecord> SeparatedStore::CloseLive(
+    const AtomTypeDef& type, AtomId id, Timestamp from, Rid* rid) {
+  Result<CurrentRecord> loaded = LoadCurrent(type, id, rid);
+  TCOB_ASSIGN_OR_RETURN(TimelineTail tail, CurrentTail(id, loaded));
+  TCOB_RETURN_NOT_OK(tail.Close(from));
+  CurrentRecord rec = std::move(loaded).value();
+  AtomVersion closed = std::move(rec.live);
   closed.valid.end = from;
-  TCOB_ASSIGN_OR_RETURN(Rid new_head,
+  TCOB_ASSIGN_OR_RETURN(rec.chain_head,
                         AppendHistory(type, closed, rec.chain_head));
-  rec.chain_head = new_head;
   ++rec.chain_len;
   rec.last_end = from;
   rec.has_live = false;
   rec.live = AtomVersion{};
-  return StoreCurrent(type, id, rid, rec);
+  return rec;
+}
+
+void SeparatedStore::OpenLive(CurrentRecord* rec, const AtomTypeDef& type,
+                              AtomId id, std::vector<Value> attrs,
+                              Timestamp from) {
+  rec->has_live = true;
+  rec->live = AtomVersion{id, type.id, rec->last_version_no + 1,
+                          Interval(from, kForever), std::move(attrs)};
+  rec->last_version_no = rec->live.version_no;
 }
 
 Result<std::optional<AtomVersion>> SeparatedStore::FindPast(

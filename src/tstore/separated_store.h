@@ -111,6 +111,22 @@ class SeparatedStore : public TemporalAtomStore {
   Status StoreCurrent(const AtomTypeDef& type, AtomId id, const Rid& rid,
                       const CurrentRecord& rec);
 
+  /// The timeline tail of `id` after loading its current record: a
+  /// NotFound load is an atom that does not exist; other errors are
+  /// returned.
+  static Result<TimelineTail> CurrentTail(AtomId id,
+                                          const Result<CurrentRecord>& current);
+
+  /// Loads the current record of `id` (its location into `rid`), closes
+  /// the live version at `from` and moves it to the history chain
+  /// (DELETE, and the first half of UPDATE). The record is not stored.
+  Result<CurrentRecord> CloseLive(const AtomTypeDef& type, AtomId id,
+                                  Timestamp from, Rid* rid);
+
+  /// Makes `attrs` the live version of `rec` from `from` on.
+  static void OpenLive(CurrentRecord* rec, const AtomTypeDef& type, AtomId id,
+                       std::vector<Value> attrs, Timestamp from);
+
   /// Moves a closed version into the history store, updating the version
   /// index if enabled; returns the new chain head.
   Result<Rid> AppendHistory(const AtomTypeDef& type,

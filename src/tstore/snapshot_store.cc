@@ -79,92 +79,52 @@ Status SnapshotStore::Insert(const AtomTypeDef& type, AtomId id,
   TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
   TCOB_ASSIGN_OR_RETURN(std::optional<AtomVersion> newest,
                         NewestVersion(type, id, nullptr));
-  uint32_t version_no = 1;
-  if (newest.has_value()) {
-    if (newest->valid.open_ended()) {
-      return Status::AlreadyExists("atom " + std::to_string(id) +
-                                   " already live");
-    }
-    if (from < newest->valid.end) {
-      return Status::InvalidArgument("re-insert before previous deletion");
-    }
-    version_no = newest->version_no + 1;
-  }
-  AtomVersion v{id, type.id, version_no, Interval(from, kForever),
-                std::move(attrs)};
+  TCOB_RETURN_NOT_OK(AtomTail(id, newest ? &*newest : nullptr).Open(from));
+  AtomVersion v{id, type.id, newest ? newest->version_no + 1 : 1u,
+                Interval(from, kForever), std::move(attrs)};
   std::string rec;
   std::vector<AttrType> schema = type.AttrTypes();
   TCOB_RETURN_NOT_OK(EncodeAtomVersion(schema, v, &rec));
   TCOB_ASSIGN_OR_RETURN(Rid rid, state->heap->Insert(rec));
-  return state->index->Put(VersionKey(id, version_no), rid.Pack());
+  return state->index->Put(VersionKey(id, v.version_no), rid.Pack());
 }
 
 Status SnapshotStore::Update(const AtomTypeDef& type, AtomId id,
                              std::vector<Value> attrs, Timestamp from) {
   TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
-  Rid newest_rid;
-  TCOB_ASSIGN_OR_RETURN(std::optional<AtomVersion> newest,
-                        NewestVersion(type, id, &newest_rid));
-  if (!newest.has_value()) {
-    return Status::NotFound("update of unknown atom " + std::to_string(id));
-  }
-  std::vector<AttrType> schema = type.AttrTypes();
-  if (from < newest->valid.begin) {
-    return Status::InvalidArgument("retroactive update not supported");
-  }
-  if (!newest->valid.open_ended()) {
-    return Status::InvalidArgument("update of a dead atom");
-  }
-  if (newest->valid.begin == from) {
-    return Status::InvalidArgument(
-        "update at the exact begin of the current version");
-  }
-  // Close the current version in place.
-  AtomVersion closed = *newest;
-  closed.valid.end = from;
-  std::string closed_rec;
-  TCOB_RETURN_NOT_OK(EncodeAtomVersion(schema, closed, &closed_rec));
-  TCOB_ASSIGN_OR_RETURN(Rid new_rid,
-                        state->heap->Update(newest_rid, closed_rec));
-  if (new_rid != newest_rid) {
-    TCOB_RETURN_NOT_OK(
-        state->index->Put(VersionKey(id, closed.version_no), new_rid.Pack()));
-  }
+  TCOB_ASSIGN_OR_RETURN(AtomVersion closed, CloseLive(type, id, from));
   // Append the successor version.
   AtomVersion next{id, type.id, closed.version_no + 1,
                    Interval(from, kForever), std::move(attrs)};
   std::string next_rec;
-  TCOB_RETURN_NOT_OK(EncodeAtomVersion(schema, next, &next_rec));
+  TCOB_RETURN_NOT_OK(EncodeAtomVersion(type.AttrTypes(), next, &next_rec));
   TCOB_ASSIGN_OR_RETURN(Rid rid, state->heap->Insert(next_rec));
   return state->index->Put(VersionKey(id, next.version_no), rid.Pack());
 }
 
 Status SnapshotStore::Delete(const AtomTypeDef& type, AtomId id,
                              Timestamp from) {
+  return CloseLive(type, id, from).status();
+}
+
+Result<AtomVersion> SnapshotStore::CloseLive(const AtomTypeDef& type,
+                                               AtomId id, Timestamp from) {
   TCOB_ASSIGN_OR_RETURN(TypeState * state, StateOf(type.id));
-  Rid newest_rid;
+  Rid rid;
   TCOB_ASSIGN_OR_RETURN(std::optional<AtomVersion> newest,
-                        NewestVersion(type, id, &newest_rid));
-  if (!newest.has_value()) {
-    return Status::NotFound("delete of unknown atom " + std::to_string(id));
-  }
-  if (from <= newest->valid.begin) {
-    return Status::InvalidArgument("delete before the current version began");
-  }
-  if (!newest->valid.open_ended()) {
-    return Status::InvalidArgument("delete of a dead atom");
-  }
-  AtomVersion closed = *newest;
+                        NewestVersion(type, id, &rid));
+  TCOB_RETURN_NOT_OK(AtomTail(id, newest ? &*newest : nullptr).Close(from));
+  // Close the live version in place.
+  AtomVersion closed = std::move(*newest);
   closed.valid.end = from;
-  std::vector<AttrType> schema = type.AttrTypes();
   std::string rec;
-  TCOB_RETURN_NOT_OK(EncodeAtomVersion(schema, closed, &rec));
-  TCOB_ASSIGN_OR_RETURN(Rid new_rid, state->heap->Update(newest_rid, rec));
-  if (new_rid != newest_rid) {
+  TCOB_RETURN_NOT_OK(EncodeAtomVersion(type.AttrTypes(), closed, &rec));
+  TCOB_ASSIGN_OR_RETURN(Rid new_rid, state->heap->Update(rid, rec));
+  if (new_rid != rid) {
     TCOB_RETURN_NOT_OK(
         state->index->Put(VersionKey(id, closed.version_no), new_rid.Pack()));
   }
-  return Status::OK();
+  return closed;
 }
 
 Result<std::optional<AtomVersion>> SnapshotStore::DoGetAsOf(

@@ -81,6 +81,11 @@ class SnapshotStore : public TemporalAtomStore {
                                                    AtomId id,
                                                    Rid* rid_out) const;
 
+  /// Closes the live version of `id` at `from` in place (DELETE, and the
+  /// first half of UPDATE) and returns it.
+  Result<AtomVersion> CloseLive(const AtomTypeDef& type, AtomId id,
+                                  Timestamp from);
+
   static std::string VersionKey(AtomId id, uint32_t version_no);
 
   BufferPool* pool_;

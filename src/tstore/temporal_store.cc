@@ -167,6 +167,27 @@ Status TemporalAtomStore::VerifyIntegrity(const AtomTypeDef& type) const {
   return VerifyStructure(type);
 }
 
+Result<TimelineTail> TemporalAtomStore::TailAsOf(
+    const AtomTypeDef& type, AtomId id, Timestamp t,
+    std::optional<AtomVersion>* version) const {
+  TimelineTail tail = TimelineTail::Atom(id);
+  Result<std::optional<AtomVersion>> at = GetAsOf(type, id, t);
+  if (!at.ok()) {
+    if (at.status().IsNotFound()) return tail;
+    return at.status();
+  }
+  tail.exists = true;
+  if (at->has_value()) tail.Fold((*at)->valid, t);
+  *version = std::move(at).value();
+  return tail;
+}
+
+TimelineTail AtomTail(AtomId id, const AtomVersion* newest) {
+  TimelineTail tail = TimelineTail::Atom(id);
+  if (newest != nullptr) tail.After(newest->valid);
+  return tail;
+}
+
 Result<VersionTimeline> TimelineOf(const std::vector<AtomVersion>& versions) {
   std::vector<size_t> order(versions.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;

@@ -102,20 +102,15 @@ struct ColdTierAccessStats {
 
 /// Storage-strategy-independent interface over versioned atoms.
 ///
-/// Mutation contract (shared by all implementations):
-///  * Insert creates version 1 valid in [from, forever).
-///  * Update closes the current version at `from` and opens a successor
-///    valid in [from, forever). `from` must be strictly after the current
-///    version's begin.
-///  * Delete closes the current version at `from`, leaving the atom with
-///    no live version (it may be re-inserted later, resuming its history).
-///
-/// A mutation either applies or fails; none reports OK without changing
-/// the history. Re-applying an existing boundary fails like any other
-/// invalid mutation (AlreadyExists for a live atom's Insert, NotFound for
-/// an unknown atom, InvalidArgument otherwise). WAL replay never
-/// re-applies: recovery starts from the checkpoint image and skips every
-/// record that image already covers (DESIGN §3.3).
+/// Insert opens version 1 (or, after a Delete, the next version) valid
+/// in [from, forever); Update closes the live version at `from` and
+/// opens its successor there; Delete closes it, leaving the atom with no
+/// live version. Each checks the valid-time mutation rule
+/// (TimelineTail, time/timeline.h) against the newest record it loads,
+/// and either applies or fails with the rule's status; none reports OK
+/// without changing the history. WAL replay never re-applies: recovery
+/// starts from the checkpoint image and skips every record that image
+/// already covers (DESIGN §3.3).
 class TemporalAtomStore {
  public:
   using VersionCallback =
@@ -147,6 +142,14 @@ class TemporalAtomStore {
     get_versions_.Increment();
     return DoGetVersions(type, id, window);
   }
+
+  /// Atom `id`'s timeline tail as a reader at `t` sees it (see
+  /// TimelineTail::Fold), from one GetAsOf(t); `version` receives the
+  /// version valid at `t`. An atom that was never inserted has a tail
+  /// that does not exist.
+  Result<TimelineTail> TailAsOf(const AtomTypeDef& type, AtomId id,
+                                Timestamp t,
+                                std::optional<AtomVersion>* version) const;
 
   /// Streams the version of *every* atom of `type` valid at `t`.
   Status ScanAsOf(const AtomTypeDef& type, Timestamp t,
@@ -297,6 +300,10 @@ Status EncodeAtomVersion(const std::vector<AttrType>& schema,
                          const AtomVersion& v, std::string* dst);
 Result<AtomVersion> DecodeAtomVersion(const std::vector<AttrType>& schema,
                                       Slice* input);
+
+/// The timeline tail of atom `id` whose newest version is `newest`
+/// (null: the atom does not exist).
+TimelineTail AtomTail(AtomId id, const AtomVersion* newest);
 
 /// Builds a VersionTimeline (payload = index) over a version list sorted
 /// by begin. Fails on overlapping versions.

@@ -452,6 +452,47 @@ TEST_P(MvccTest, NowThenExplicitReorderAbortsCleanly) {
                   .ok());
   EXPECT_TRUE(retry.Commit().ok());
   EXPECT_EQ(CountAtomsAt("Dept", db_->Now()), 2u);
+
+  // The link case. L buffers a NOW-disconnect of an open pair, then an
+  // explicit re-connect after it; a concurrent auto-commit pushes NOW
+  // past the re-connect, so the re-stamped disconnect would land after
+  // it.
+  const Timestamp t = db_->Now();
+  AtomId dept = db_->InsertAtom("Dept",
+                                {{"name", Value::String("Ops")},
+                                 {"budget", Value::Int(1)}},
+                                t)
+                    .value();
+  AtomId emp = db_->InsertAtom("Emp",
+                               {{"name", Value::String("max")},
+                                {"salary", Value::Int(1)}},
+                               t)
+                   .value();
+  ASSERT_TRUE(db_->Connect("DeptEmp", dept, emp, t).ok());
+  Transaction l = db_->Begin();
+  ASSERT_TRUE(l.Disconnect("DeptEmp", dept, emp, /*at=*/kMinTimestamp,
+                           /*from_now=*/true)
+                  .ok());
+  const Timestamp reconnect = l.local_now() + 10;
+  ASSERT_TRUE(l.Connect("DeptEmp", dept, emp, reconnect).ok());
+  ASSERT_TRUE(db_->InsertAtom("Emp",
+                              {{"name", Value::String("kim")},
+                               {"salary", Value::Int(9)}},
+                              reconnect + 50)
+                  .ok());
+  const uint64_t logged = db_->wal()->appended_records();
+  Status link_commit = l.Commit();
+  EXPECT_TRUE(link_commit.IsTxnConflict()) << link_commit.ToString();
+  // Nothing was logged or applied: the pair keeps its one open interval.
+  EXPECT_EQ(db_->wal()->appended_records(), logged);
+  EXPECT_EQ(db_->health_state(), HealthState::kHealthy);
+  const LinkTypeDef* link =
+      db_->catalog().GetLinkTypeByName("DeptEmp").value();
+  auto spans =
+      db_->links()->NeighborsIn(*link, dept, /*forward=*/true, Interval::All());
+  ASSERT_TRUE(spans.ok()) << spans.status().ToString();
+  ASSERT_EQ(spans.value().size(), 1u);
+  EXPECT_EQ(spans.value()[0].second, Interval(t, kForever));
 }
 
 // Auto-commit UPDATE carries unchanged attributes over from the version

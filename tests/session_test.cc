@@ -160,6 +160,31 @@ TEST_P(SessionTest, BeginOnPoisonedDatabaseFails) {
   SetLogLevel(saved_level);
 }
 
+// A session used after its Database is destroyed fails every call with
+// FailedPrecondition instead of reading freed memory; its open
+// transaction is dropped the same way.
+TEST_P(SessionTest, SessionOutlivingDatabaseFailsCleanly) {
+  auto db = OpenDb(Options());
+  ASSERT_NE(db, nullptr);
+  Session session = db->OpenSession();
+  ASSERT_TRUE(
+      session.Execute("INSERT ATOM Dept (name='d', budget=1) VALID FROM 10;")
+          .ok());
+  ASSERT_TRUE(session.Execute("BEGIN;").ok());
+  db.reset();
+  const std::string select = "SELECT ALL FROM DeptMol VALID AT 10;";
+  EXPECT_TRUE(session.Execute(select).status().IsFailedPrecondition());
+  EXPECT_TRUE(session.Query(select).status().IsFailedPrecondition());
+  EXPECT_TRUE(session.Explain(select).status().IsFailedPrecondition());
+  EXPECT_TRUE(session.Execute("INSERT ATOM Dept (name='e', budget=1) "
+                              "VALID FROM 20;")
+                  .status()
+                  .IsFailedPrecondition());
+  EXPECT_TRUE(session.Query("COMMIT;").status().IsFailedPrecondition());
+  EXPECT_TRUE(
+      session.ExecuteScript("ABORT; BEGIN;").status().IsFailedPrecondition());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllStrategies, SessionTest,
                          ::testing::Values(StorageStrategy::kSnapshot,
                                            StorageStrategy::kIntegrated,

@@ -32,24 +32,75 @@ TEST(TimelineTest, RejectsAppendAfterOpenEnded) {
   EXPECT_TRUE(tl.Append(Interval(10, 20), 2).IsInvalidArgument());
 }
 
-TEST(TimelineTest, CloseLast) {
-  VersionTimeline tl;
-  ASSERT_TRUE(tl.Append(Interval(0, kForever), 1).ok());
-  ASSERT_TRUE(tl.CloseLast(7).ok());
-  EXPECT_FALSE(tl.IsLive());
-  EXPECT_EQ(tl.back().valid, Interval(0, 7));
-  ASSERT_TRUE(tl.Append(Interval(7, kForever), 2).ok());
-  EXPECT_EQ(tl.AsOf(7).value(), 2u);
+TEST(TimelineTest, TailOpen) {
+  TimelineTail atom = TimelineTail::Atom(7);
+  ASSERT_TRUE(atom.Open(10).ok());
+  EXPECT_TRUE(atom.exists);
+  EXPECT_TRUE(atom.open);
+  EXPECT_EQ(atom.begin, 10);
+  Status twice = atom.Open(20);
+  EXPECT_TRUE(twice.IsAlreadyExists());
+  EXPECT_EQ(twice.message(), "atom 7 is already live (since 10)");
+  ASSERT_TRUE(atom.Close(15).ok());
+  // Re-opening before the last closed end overlaps it...
+  Status early = atom.Open(14);
+  EXPECT_TRUE(early.IsInvalidArgument());
+  EXPECT_EQ(early.message(),
+            "atom 7 cannot become live at 14: its last version ended at 15");
+  // ...while opening at exactly that end is allowed.
+  ASSERT_TRUE(atom.Open(15).ok());
+  EXPECT_EQ(atom.begin, 15);
 }
 
-TEST(TimelineTest, CloseLastErrors) {
-  VersionTimeline tl;
-  EXPECT_TRUE(tl.CloseLast(5).IsInvalidArgument());  // empty
-  ASSERT_TRUE(tl.Append(Interval(3, 9), 1).ok());
-  EXPECT_TRUE(tl.CloseLast(5).IsInvalidArgument());  // already closed
-  VersionTimeline tl2;
-  ASSERT_TRUE(tl2.Append(Interval(3, kForever), 1).ok());
-  EXPECT_TRUE(tl2.CloseLast(3).IsInvalidArgument());  // at begin
+TEST(TimelineTest, TailClose) {
+  TimelineTail atom = TimelineTail::Atom(7);
+  Status unknown = atom.Close(5);
+  EXPECT_TRUE(unknown.IsNotFound());
+  EXPECT_EQ(unknown.message(), "atom 7 does not exist");
+  ASSERT_TRUE(atom.Open(3).ok());
+  Status at_begin = atom.Close(3);
+  EXPECT_TRUE(at_begin.IsInvalidArgument());
+  EXPECT_EQ(at_begin.message(),
+            "atom 7 cannot change at 3: its live version began at 3");
+  ASSERT_TRUE(atom.Close(9).ok());
+  EXPECT_FALSE(atom.open);
+  EXPECT_EQ(atom.last_end, 9);
+  // A dead atom still exists; a link pair without an open interval does
+  // not.
+  Status dead = atom.Close(12);
+  EXPECT_TRUE(dead.IsInvalidArgument());
+  EXPECT_EQ(dead.message(), "atom 7 is not live");
+  TimelineTail link = TimelineTail::Link(1, 3);
+  ASSERT_TRUE(link.Open(3).ok());
+  ASSERT_TRUE(link.Close(9).ok());
+  Status closed = link.Close(12);
+  EXPECT_TRUE(closed.IsNotFound());
+  EXPECT_EQ(closed.message(), "link 1->3 is not connected");
+}
+
+TEST(TimelineTest, TailAsOfSnapshot) {
+  // [3, 9) and [12, forever), seen at 10: the second interval does not
+  // exist yet.
+  TimelineTail at10 = TimelineTail::Link(1, 3);
+  at10.Fold(Interval(12, kForever), 10);
+  at10.Fold(Interval(3, 9), 10);
+  EXPECT_FALSE(at10.open);
+  EXPECT_EQ(at10.last_end, 9);
+  // Seen at 8, [3, 9) is still open.
+  TimelineTail at8 = TimelineTail::Link(1, 3);
+  at8.Fold(Interval(3, 9), 8);
+  EXPECT_TRUE(at8.open);
+  EXPECT_EQ(at8.begin, 3);
+  // Nothing has begun at 2.
+  TimelineTail at2 = TimelineTail::Link(1, 3);
+  at2.Fold(Interval(3, 9), 2);
+  EXPECT_FALSE(at2.exists);
+  // After() is the newest interval's tail.
+  TimelineTail after = TimelineTail::Atom(4);
+  after.After(Interval(5, 8));
+  EXPECT_TRUE(after.exists);
+  EXPECT_FALSE(after.open);
+  EXPECT_EQ(after.last_end, 8);
 }
 
 TEST(TimelineTest, Overlapping) {

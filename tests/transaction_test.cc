@@ -177,6 +177,24 @@ TEST_P(TransactionTest, CommittedTransactionSurvivesRecovery) {
   EXPECT_EQ(CountRows("SELECT Dept.budget FROM DeptMol HISTORY"), 2u);
 }
 
+// An atom id names an atom of one type. An update that names another
+// type is refused at buffering, also when the transaction already
+// wrote the atom, and the commit applies cleanly.
+TEST_P(TransactionTest, UpdateUnderAnotherTypeIsRefused) {
+  Transaction txn = db_->Begin();
+  AtomId emp = txn.InsertAtom("Emp",
+                              {{"name", Value::String("ada")},
+                               {"salary", Value::Int(100)}},
+                              10)
+                   .value();
+  Status wrong = txn.UpdateAtom("Dept", emp, {{"budget", Value::Int(2)}}, 20);
+  EXPECT_TRUE(wrong.IsNotFound()) << wrong.ToString();
+  EXPECT_EQ(txn.pending_ops(), 1u);
+  Status committed = txn.Commit();
+  EXPECT_TRUE(committed.ok()) << committed.ToString();
+  EXPECT_EQ(db_->health_state(), HealthState::kHealthy);
+}
+
 TEST_P(TransactionTest, OpsAfterCommitRejected) {
   Transaction txn = db_->Begin();
   ASSERT_TRUE(txn.Commit().ok());
