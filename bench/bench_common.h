@@ -316,7 +316,10 @@ inline bool WriteBenchJson(const std::string& path, const std::string& bench,
     for (const auto& [cname, value] : rec.counters) {
       out += cfirst ? "" : ", ";
       cfirst = false;
-      out += "\"" + JsonEscape(cname) + "\": " + JsonNumber(value);
+      out += '"';
+      out += JsonEscape(cname);
+      out += "\": ";
+      out += JsonNumber(value);
     }
     out += "}\n    }";
   }

@@ -120,7 +120,7 @@ Status GetVarint64(Slice* input, uint64_t* v) {
 }
 
 Status GetVarint32(Slice* input, uint32_t* v) {
-  uint64_t v64;
+  uint64_t v64 = 0;
   TCOB_RETURN_NOT_OK(GetVarint64(input, &v64));
   if (v64 > UINT32_MAX) return Status::Corruption("varint32 overflow");
   *v = static_cast<uint32_t>(v64);
@@ -128,7 +128,7 @@ Status GetVarint32(Slice* input, uint32_t* v) {
 }
 
 Status GetVarsint64(Slice* input, int64_t* v) {
-  uint64_t enc;
+  uint64_t enc = 0;
   TCOB_RETURN_NOT_OK(GetVarint64(input, &enc));
   *v = static_cast<int64_t>((enc >> 1) ^ (~(enc & 1) + 1));
   return Status::OK();
@@ -140,7 +140,7 @@ void PutLengthPrefixed(std::string* dst, const Slice& value) {
 }
 
 Status GetLengthPrefixed(Slice* input, Slice* value) {
-  uint64_t len;
+  uint64_t len = 0;
   TCOB_RETURN_NOT_OK(GetVarint64(input, &len));
   if (input->size() < len) return Underflow("length-prefixed bytes");
   *value = Slice(input->data(), static_cast<size_t>(len));
@@ -155,7 +155,7 @@ void PutDouble(std::string* dst, double v) {
 }
 
 Status GetDouble(Slice* input, double* v) {
-  uint64_t bits;
+  uint64_t bits = 0;
   TCOB_RETURN_NOT_OK(GetFixed64(input, &bits));
   memcpy(v, &bits, sizeof(*v));
   return Status::OK();

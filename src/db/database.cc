@@ -3,7 +3,9 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -128,8 +130,6 @@ Status Database::Init() {
   attr_indexes_ = std::make_unique<AttrIndexManager>(pool_.get(), &catalog_);
   TCOB_ASSIGN_OR_RETURN(wal_, WriteAheadLog::Open(dir_ + "/wal.log", env_));
   wal_->set_trace(&trace_rec_);
-  wal_->set_group_commit(options_.group_commit,
-                         options_.group_commit_window_micros);
   TCOB_RETURN_NOT_OK(LoadMeta());
   TCOB_RETURN_NOT_OK(Recover());
   recovery_stats_.journal_pages_applied =
@@ -191,6 +191,8 @@ void Database::RegisterMetrics() {
   metrics_.RegisterCounter("tcob_txn_conflicts_total",
                            &txn_conflicts_total_);
   metrics_.RegisterHistogram("tcob_query_latency_us", &query_latency_us_);
+  metrics_.RegisterHistogram("tcob_wal_group_commit_size",
+                             &group_commit_size_);
   metrics_.RegisterGaugeFn("tcob_txns_active", [this]() {
     return static_cast<int64_t>(txn_manager_.active_txns());
   });
@@ -310,27 +312,14 @@ Status Database::Recover() {
           ++recovery_stats_.skipped_ops;
           return true;
         }
-        Status applied = ApplyOp(op);
-        if (op.txn_id == 0 &&
-            (applied.IsNotFound() || applied.IsInvalidArgument() ||
-             applied.IsAlreadyExists())) {
-          // An auto-commit statement is logged before the stores
-          // validate it. One they rejected at runtime, against this same
-          // state, changed nothing then and is skipped now.
-          ++recovery_stats_.rejected_ops;
-          return true;
-        }
-        TCOB_RETURN_NOT_OK(applied);
+        // Only validated commits are logged, so every record applies.
+        TCOB_RETURN_NOT_OK(ApplyOp(op));
         ObserveTimestamp(op.valid_from);
         ++recovery_stats_.replayed_ops;
         return true;
       },
       &wal_stats);
   TCOB_RETURN_NOT_OK(replay);
-  if (recovery_stats_.rejected_ops > 0) {
-    TCOB_LOG(kInfo) << "skipped " << recovery_stats_.rejected_ops
-                    << " auto-commit statement(s) rejected at runtime";
-  }
   if (recovery_stats_.discarded_txn_ops > 0) {
     TCOB_LOG(kWarn) << "discarded " << recovery_stats_.discarded_txn_ops
                     << " operation(s) of uncommitted transaction(s)";
@@ -464,56 +453,6 @@ Status Database::DumpTraceToFile(const std::string& path) const {
   return Status::OK();
 }
 
-Status Database::LogAndApply(WalOp op,
-                             const std::function<Status(WalOp*)>& resolve) {
-  std::lock_guard<std::mutex> lk(writer_mu_);
-  TCOB_RETURN_NOT_OK(CheckWritable());
-  std::vector<AttrType> schema;
-  if (op.type == WalOpType::kInsertAtom ||
-      op.type == WalOpType::kUpdateAtom) {
-    TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* def,
-                          catalog_.GetAtomType(op.atom_type));
-    schema = def->AttrTypes();
-  }
-  op.op_seq = next_op_seq_;
-  if (op.stamped_now) {
-    // VALID FROM NOW resolves here, under the writer mutex — not at
-    // parse time. A commit that slipped in between would otherwise
-    // leave this stamp at or before a snapshot pinned after it, making
-    // the statement retroactively visible inside that snapshot.
-    op.valid_from = Now();
-  }
-  if (resolve) TCOB_RETURN_NOT_OK(resolve(&op));
-  std::string payload;
-  TCOB_RETURN_NOT_OK(op.Encode(schema, &payload));
-  Status logged = wal_->Append(payload);
-  if (logged.ok() && options_.sync_wal) logged = wal_->SyncBatch();
-  if (!logged.ok()) {
-    // The WAL's durable state is unknowable (the record may be torn on
-    // disk, a failed fsync may have dropped it); stop writing.
-    Poison(logged);
-    return logged;
-  }
-  ++next_op_seq_;
-  Status applied = ApplyOp(op);
-  if (applied.ok()) {
-    ObserveTimestamp(op.valid_from);
-    // The statement is a single-key commit as far as snapshot
-    // validation goes: an open transaction that also wrote this entity
-    // must lose at its own Commit.
-    txn_manager_.CommitAuto(WriteKeyForOp(op));
-  } else if (applied.IsIOError() || applied.IsCorruption()) {
-    // The record is durably logged but the stores refused it for an
-    // environmental reason: a replay would reapply it, so the in-memory
-    // image no longer matches what recovery will build. Validation
-    // errors (NotFound, InvalidArgument, AlreadyExists) are
-    // deterministic: recovery skips the logged record the same way, so
-    // they stay user-visible without degrading the instance.
-    FailHard(applied);
-  }
-  return applied;
-}
-
 // ---- transactions ----
 
 Transaction Database::Begin() {
@@ -522,13 +461,15 @@ Transaction Database::Begin() {
   Timestamp snapshot = kMinTimestamp;
   uint64_t snapshot_seq = 0;
   {
-    // Snapshot instant: the chronon just before NOW. Commits stamp
-    // their VALID FROM NOW operations under writer_mu_ (LogAndApply,
-    // CommitOps), so everything committed after this point lands at
+    // Snapshot instant: the chronon just before NOW. A commit group
+    // stamps its VALID FROM NOW operations under writer_mu_
+    // (CommitGroup), so everything committed after this point lands at
     // >= NOW, strictly after the snapshot — concurrent committers stay
-    // invisible. Pinning must itself hold writer_mu_: a multi-op
-    // commit advances NOW per applied op, and an unlocked pin could
-    // land mid-batch, seeing its earlier ops but not its later ones.
+    // invisible. Pinning must itself hold writer_mu_: a group is logged
+    // and applied op by op under it (advancing NOW per op), and an
+    // unlocked pin could land between its log and its apply or
+    // mid-apply, seeing some of its ops but not the others. A pin
+    // therefore waits behind an in-flight group fsync.
     std::lock_guard<std::mutex> lk(writer_mu_);
     snapshot = Now() - 1;
     snapshot_seq = txn_manager_.BeginTxn(txn_id, snapshot);
@@ -544,141 +485,244 @@ void Database::OnTxnAborted(uint64_t txn_id) {
   trace_rec_.Emit(TraceEventType::kTxnAbort, txn_id);
 }
 
-Status Database::CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
-                           uint64_t snapshot_seq,
-                           std::map<TxnWriteKey, TimelineTail> tails) {
-  if (ops.empty()) {
+// ---- the write path ----
+
+Status Database::Write(Writer* w) {
+  if (w->ops.empty()) {
     // A write-free transaction commits trivially: nothing to validate,
     // nothing to log.
-    txn_manager_.EndTxn(txn_id);
+    txn_manager_.EndTxn(w->txn_id);
     txns_committed_total_.Increment();
-    trace_rec_.Emit(TraceEventType::kTxnCommit, txn_id);
+    trace_rec_.Emit(TraceEventType::kTxnCommit, w->txn_id);
     return Status::OK();
   }
-  std::vector<TxnWriteKey> keys;
-  keys.reserve(ops.size());
-  for (const WalOp& op : ops) keys.push_back(WriteKeyForOp(op));
-
-  std::unique_lock<std::mutex> lk(writer_mu_);
-  Status writable = CheckWritable();
-  if (!writable.ok()) {
-    txn_manager_.EndTxn(txn_id);
-    return writable;
+  for (const WalOp& op : w->ops) w->keys.push_back(WriteKeyForOp(op));
+  if (!options_.group_commit) {
+    // Every commit is a group of its own; writer_mu_ orders them.
+    CommitGroup({w});
+    return w->status;
   }
+  std::unique_lock<std::mutex> ql(queue_mu_);
+  queue_.push_back(w);
+  while (!w->done && w != queue_.front()) w->cv.wait(ql);
+  if (w->done) return w->status;
+  // The leader. Committers that queue while it waits out the window (or
+  // while the previous group's fsync ran) join its group.
+  if (options_.sync_wal && options_.group_commit_window_micros > 0) {
+    w->cv.wait_for(
+        ql, std::chrono::microseconds(options_.group_commit_window_micros));
+  }
+  // A committer sharing a key with one queued before it waits for a
+  // later group: each member validates against the state before the
+  // group, which no other member of the group changes.
+  std::vector<Writer*> group;
+  std::set<TxnWriteKey> queued_keys;
+  for (Writer* m : queue_) {
+    const bool disjoint = std::none_of(
+        m->keys.begin(), m->keys.end(),
+        [&](const TxnWriteKey& k) { return queued_keys.count(k) != 0; });
+    if (disjoint) group.push_back(m);
+    queued_keys.insert(m->keys.begin(), m->keys.end());
+  }
+  ql.unlock();
+  CommitGroup(group);
+  ql.lock();
+  for (Writer* m : group) {
+    m->done = true;
+    if (m != w) m->cv.notify_one();
+  }
+  queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
+                              [](const Writer* m) { return m->done; }),
+               queue_.end());
+  if (!queue_.empty()) queue_.front()->cv.notify_one();
+  return w->status;
+}
+
+void Database::CommitGroup(const std::vector<Writer*>& group) {
+  std::lock_guard<std::mutex> lk(writer_mu_);
+  const Status writable = CheckWritable();
+  Timestamp now = Now();
+  uint64_t seq = next_op_seq_;
+  std::vector<Writer*> logged;
+  for (Writer* w : group) {
+    w->status = writable.ok() ? Validate(w, &now, &seq) : writable;
+    if (w->status.ok()) logged.push_back(w);
+  }
+  // Log, then make durable. A refused member was never encoded, so it
+  // leaves no record behind.
+  Status durable = Status::OK();
+  for (const Writer* w : logged) {
+    for (const std::string& record : w->records) {
+      if (durable.ok()) durable = wal_->Append(record);
+    }
+  }
+  if (durable.ok() && options_.sync_wal && !logged.empty()) {
+    if (options_.group_commit) group_commit_size_.Observe(logged.size());
+    durable = wal_->Sync();
+  }
+  if (!durable.ok()) {
+    // The log's durable state is unknowable (a record may be torn, a
+    // failed fsync may have dropped it); stop writing. Nothing of the
+    // group was applied, so reads keep serving acknowledged history.
+    Poison(durable);
+    for (Writer* w : logged) w->status = durable;
+  } else {
+    next_op_seq_ = seq;
+    for (Writer* w : logged) {
+      // After an earlier member's apply failed, this one's records are
+      // logged but cannot be applied to a diverged image.
+      w->status = CheckReadable();
+      for (const WalOp& op : w->ops) {
+        if (!w->status.ok()) break;
+        Status applied = ApplyOp(op);
+        if (!applied.ok()) {
+          // Validation passed, so the stores cannot refuse: the image
+          // diverged from the log, which recovery would apply in full.
+          w->status = Status::Internal("apply failed after logging: " +
+                                       applied.ToString());
+          FailHard(w->status);
+          break;
+        }
+        ObserveTimestamp(op.valid_from);
+      }
+    }
+  }
+  // Register under writer_mu_, so a snapshot pinned after this group
+  // sees both its effects and its commit sequence.
+  for (Writer* w : group) {
+    if (w->status.ok()) {
+      txn_manager_.Commit(w->txn_id, std::move(w->keys));
+      if (w->txn_id != 0) {
+        txns_committed_total_.Increment();
+        trace_rec_.Emit(TraceEventType::kTxnCommit, w->txn_id);
+      }
+    } else if (w->txn_id != 0) {
+      txn_manager_.EndTxn(w->txn_id);
+    }
+  }
+}
+
+Status Database::Validate(Writer* w, Timestamp* now, uint64_t* seq) {
+  const bool txn = w->txn_id != 0;
   auto lose = [&](Status conflict) {
-    txn_manager_.EndTxn(txn_id);
     txn_conflicts_total_.Increment();
-    trace_rec_.Emit(TraceEventType::kTxnConflict, txn_id);
+    trace_rec_.Emit(TraceEventType::kTxnConflict, w->txn_id);
     return conflict;
   };
   // First-committer-wins: anyone who committed one of our write keys
-  // after our snapshot wins; we abort and our buffered ops vanish.
-  Status valid = txn_manager_.CheckConflict(snapshot_seq, keys);
-  if (!valid.ok()) return lose(valid);
-  // The buffered VALID FROM NOW stamps were provisional (the
-  // transaction-local clock at buffering time); left alone, a commit
-  // could land at or before a snapshot pinned *after* buffering and
-  // become retroactively visible inside it. Re-stamp them to the
-  // commit instant, advancing a local clock by the same rule
-  // ObserveTimestamp applies below, so NOW ops land at the commit's
-  // NOW and explicit stamps keep their absolute positions.
-  std::vector<WalOp> stamped = ops;
-  Timestamp commit_clock = Now();
-  for (WalOp& op : stamped) {
-    if (op.stamped_now) op.valid_from = commit_clock;
-    if (op.valid_from >= commit_clock) commit_clock = op.valid_from + 1;
+  // after our snapshot wins; we abort and our buffered ops vanish. It
+  // also proves the snapshot tails still current.
+  if (txn) {
+    Status valid = txn_manager_.CheckConflict(w->snapshot_seq, w->keys);
+    if (!valid.ok()) return lose(valid);
   }
-  // Re-stamping may reorder a transaction's writes to one entity: a NOW
-  // op buffered before an explicit future stamp overtakes it once
-  // concurrent commits pushed NOW past that stamp. Re-check the stamped
-  // ops with the mutation rule, folded in order over the snapshot tails;
-  // the conflict check above proved those tails still current, so what
-  // passes here the stores accept.
-  for (size_t i = 0; i < stamped.size(); ++i) {
-    Status step = StepTail(stamped[i], &tails[keys[i]]);
+  Timestamp clock = *now;
+  uint64_t next = *seq;
+  for (size_t i = 0; i < w->ops.size(); ++i) {
+    WalOp& op = w->ops[i];
+    // VALID FROM NOW resolves here, under writer_mu_, not when the op
+    // was issued or buffered: a commit that slipped in between would
+    // otherwise leave this stamp at or before a snapshot pinned after
+    // it, making the op retroactively visible inside that snapshot.
+    // Explicit stamps keep their positions and pull the clock past them.
+    if (op.stamped_now) op.valid_from = clock;
+    auto [tail, unread] = w->tails.try_emplace(w->keys[i]);
+    std::optional<AtomVersion> live;
+    if (unread) {
+      TCOB_ASSIGN_OR_RETURN(tail->second, CurrentTail(op, &live));
+    }
+    Status step = StepTail(op, &tail->second);
     if (!step.ok()) {
+      if (!txn) return step;
+      // Buffering checked the ops at their provisional stamps, so only
+      // re-stamping can fail here: a NOW op buffered before an explicit
+      // stamp overtakes it once concurrent commits pushed NOW past it.
       return lose(Status::TxnConflict(
           "concurrent commits advanced NOW past this transaction's "
           "explicit stamps, and re-stamping its VALID FROM NOW operations "
           "reorders its writes (" + step.message() +
           ") — retry the transaction"));
     }
-  }
-  // Phase 1: log everything, ending with the commit record. Sequence
-  // numbers are consumed per logged record so the watermark matches
-  // what a later replay will see. The whole batch is appended inside
-  // one writer-mutex critical section, so a transaction's records are
-  // contiguous in the log and its commit record directly follows them.
-  for (WalOp& op : stamped) {
     std::vector<AttrType> schema;
     if (op.type == WalOpType::kInsertAtom ||
         op.type == WalOpType::kUpdateAtom) {
       TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* def,
                             catalog_.GetAtomType(op.atom_type));
+      if (w->assignments != nullptr) {
+        // Unchanged attributes carry over from the live version read
+        // just now, under writer_mu_: read any earlier and a concurrent
+        // update to another attribute is lost.
+        TCOB_ASSIGN_OR_RETURN(
+            op.attrs, ResolveAssignmentsFor(*def, *w->assignments,
+                                            &live->attrs));
+      }
       schema = def->AttrTypes();
     }
-    op.op_seq = next_op_seq_;
-    std::string payload;
-    TCOB_RETURN_NOT_OK(op.Encode(schema, &payload));
-    Status logged = wal_->Append(payload);
-    if (!logged.ok()) {
-      txn_manager_.EndTxn(txn_id);
-      Poison(logged);
-      return logged;
-    }
-    ++next_op_seq_;
+    op.op_seq = next++;
+    TCOB_RETURN_NOT_OK(op.Encode(schema, &w->records.emplace_back()));
+    if (op.valid_from >= clock) clock = op.valid_from + 1;
   }
-  WalOp commit;
-  commit.type = WalOpType::kCommit;
-  commit.txn_id = txn_id;
-  commit.op_seq = next_op_seq_;
-  std::string payload;
-  TCOB_RETURN_NOT_OK(commit.Encode({}, &payload));
-  Status logged = wal_->Append(payload);
-  if (!logged.ok()) {
-    txn_manager_.EndTxn(txn_id);
-    Poison(logged);
-    return logged;
+  if (txn) {
+    WalOp commit;
+    commit.type = WalOpType::kCommit;
+    commit.txn_id = w->txn_id;
+    commit.op_seq = next++;
+    TCOB_RETURN_NOT_OK(commit.Encode({}, &w->records.emplace_back()));
   }
-  ++next_op_seq_;
-  // Phase 2: apply. The rule check above plus the conflict check
-  // guarantee success; a failure here means the in-memory image
-  // diverged from the log (the commit record is already appended, so
-  // recovery would reapply the batch).
-  for (const WalOp& op : stamped) {
-    Status applied = ApplyOp(op);
-    if (!applied.ok()) {
-      Status wrapped =
-          Status::Internal("transaction apply failed after logging: " +
-                           applied.ToString());
-      // The commit record is durable but the image is now partial; no
-      // further access can be trusted.
-      txn_manager_.EndTxn(txn_id);
-      FailHard(wrapped);
-      return wrapped;
-    }
-    ObserveTimestamp(op.valid_from);
-  }
-  txn_manager_.Commit(txn_id, std::move(keys));
-  txns_committed_total_.Increment();
-  trace_rec_.Emit(TraceEventType::kTxnCommit, txn_id);
-  // Phase 3: durability — *outside* the writer mutex, so concurrent
-  // committers reach SyncBatch together and share one group fsync.
-  // The effects are visible before they are durable (standard early
-  // lock release); the ack below only happens once the group's fsync
-  // covered this commit record. A crash in between recovers to the
-  // unacked transaction being absent or present atomically — never
-  // partial — via the two-pass replay.
-  lk.unlock();
-  if (options_.sync_wal) {
-    Status synced = wal_->SyncBatch();
-    if (!synced.ok()) {
-      std::lock_guard<std::mutex> relk(writer_mu_);
-      Poison(synced);
-      return synced;
-    }
-  }
+  *now = clock;
+  *seq = next;
   return Status::OK();
+}
+
+Result<TimelineTail> Database::CurrentTail(const WalOp& op,
+                                           std::optional<AtomVersion>* live) {
+  if (op.type == WalOpType::kConnect || op.type == WalOpType::kDisconnect) {
+    TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
+                          catalog_.GetLinkType(op.link_type));
+    return links_->PairTail(*link, op.from_id, op.to_id, kForever - 1);
+  }
+  if (op.type == WalOpType::kInsertAtom) return TimelineTail::Atom(op.atom_id);
+  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
+                        catalog_.GetAtomType(op.atom_type));
+  // Only a live version contains the last instant.
+  return store_->TailAsOf(*type, op.atom_id, kForever - 1, live);
+}
+
+Result<AtomId> Database::WriteAtomStatement(
+    WalOpType type, const std::string& type_name, AtomId id,
+    std::vector<Value> attrs, Timestamp from, bool from_now,
+    const std::vector<std::pair<std::string, Value>>* assignments) {
+  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* def,
+                        catalog_.GetAtomTypeByName(type_name));
+  Writer w;
+  WalOp& op = w.ops.emplace_back();
+  op.type = type;
+  op.stamped_now = from_now;
+  // An INSERT's surrogate is allocated once its type resolved.
+  op.atom_id = type == WalOpType::kInsertAtom ? catalog_.NextAtomId() : id;
+  op.atom_type = def->id;
+  op.valid_from = from;
+  op.attrs = std::move(attrs);
+  w.assignments = assignments;
+  TCOB_RETURN_NOT_OK(Write(&w));
+  return op.atom_id;
+}
+
+Status Database::WriteLinkStatement(WalOpType type,
+                                    const std::string& link_name,
+                                    AtomId from_id, AtomId to_id,
+                                    Timestamp at, bool from_now) {
+  TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
+                        catalog_.GetLinkTypeByName(link_name));
+  Writer w;
+  WalOp& op = w.ops.emplace_back();
+  op.type = type;
+  op.stamped_now = from_now;
+  op.link_type = link->id;
+  op.from_id = from_id;
+  op.to_id = to_id;
+  op.valid_from = at;
+  return Write(&w);
 }
 
 // ---- DDL ----
@@ -816,103 +860,44 @@ Result<AtomId> Database::InsertAtom(
 Result<AtomId> Database::InsertAtomValues(const std::string& type_name,
                                           std::vector<Value> values,
                                           Timestamp from, bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        catalog_.GetAtomTypeByName(type_name));
-  WalOp op;
-  op.type = WalOpType::kInsertAtom;
-  op.stamped_now = from_now;
-  op.atom_id = catalog_.NextAtomId();
-  op.atom_type = type->id;
-  op.valid_from = from;
-  op.attrs = std::move(values);
-  TCOB_RETURN_NOT_OK(LogAndApply(op));
-  return op.atom_id;
+  return WriteAtomStatement(WalOpType::kInsertAtom, type_name, 0,
+                            std::move(values), from, from_now, nullptr);
 }
 
 Status Database::UpdateAtom(
     const std::string& type_name, AtomId id,
     const std::vector<std::pair<std::string, Value>>& assignments,
     Timestamp from, bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        catalog_.GetAtomTypeByName(type_name));
-  WalOp op;
-  op.type = WalOpType::kUpdateAtom;
-  op.stamped_now = from_now;
-  op.atom_id = id;
-  op.atom_type = type->id;
-  op.valid_from = from;
-  // Carry unchanged attributes over from the atom's live version, read
-  // under the writer mutex against the final stamp: read any earlier and
-  // a concurrent update to another attribute is lost. Only a live
-  // version contains the last instant. Without one the rule refuses the
-  // update here; with one the store checks the rest of the rule when it
-  // applies, so an update at the live version's begin is logged and
-  // rejected there like every other invalid auto-commit statement.
-  return LogAndApply(std::move(op), [&](WalOp* op) -> Status {
-    std::optional<AtomVersion> live;
-    TCOB_ASSIGN_OR_RETURN(TimelineTail tail,
-                          store_->TailAsOf(*type, id, kForever - 1, &live));
-    if (!live.has_value()) return tail.Close(op->valid_from);
-    TCOB_ASSIGN_OR_RETURN(
-        op->attrs, ResolveAssignmentsFor(*type, assignments, &live->attrs));
-    return Status::OK();
-  });
+  return WriteAtomStatement(WalOpType::kUpdateAtom, type_name, id, {}, from,
+                            from_now, &assignments)
+      .status();
 }
 
 Status Database::UpdateAtomValues(const std::string& type_name, AtomId id,
                                   std::vector<Value> values, Timestamp from,
                                   bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        catalog_.GetAtomTypeByName(type_name));
-  WalOp op;
-  op.type = WalOpType::kUpdateAtom;
-  op.stamped_now = from_now;
-  op.atom_id = id;
-  op.atom_type = type->id;
-  op.valid_from = from;
-  op.attrs = std::move(values);
-  return LogAndApply(op);
+  return WriteAtomStatement(WalOpType::kUpdateAtom, type_name, id,
+                            std::move(values), from, from_now, nullptr)
+      .status();
 }
 
 Status Database::DeleteAtom(const std::string& type_name, AtomId id,
                             Timestamp from, bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const AtomTypeDef* type,
-                        catalog_.GetAtomTypeByName(type_name));
-  WalOp op;
-  op.type = WalOpType::kDeleteAtom;
-  op.stamped_now = from_now;
-  op.atom_id = id;
-  op.atom_type = type->id;
-  op.valid_from = from;
-  return LogAndApply(op);
+  return WriteAtomStatement(WalOpType::kDeleteAtom, type_name, id, {}, from,
+                            from_now, nullptr)
+      .status();
 }
 
 Status Database::Connect(const std::string& link_name, AtomId from_id,
                          AtomId to_id, Timestamp at, bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
-                        catalog_.GetLinkTypeByName(link_name));
-  WalOp op;
-  op.type = WalOpType::kConnect;
-  op.stamped_now = from_now;
-  op.link_type = link->id;
-  op.from_id = from_id;
-  op.to_id = to_id;
-  op.valid_from = at;
-  return LogAndApply(op);
+  return WriteLinkStatement(WalOpType::kConnect, link_name, from_id, to_id,
+                            at, from_now);
 }
 
 Status Database::Disconnect(const std::string& link_name, AtomId from_id,
                             AtomId to_id, Timestamp at, bool from_now) {
-  TCOB_ASSIGN_OR_RETURN(const LinkTypeDef* link,
-                        catalog_.GetLinkTypeByName(link_name));
-  WalOp op;
-  op.type = WalOpType::kDisconnect;
-  op.stamped_now = from_now;
-  op.link_type = link->id;
-  op.from_id = from_id;
-  op.to_id = to_id;
-  op.valid_from = at;
-  return LogAndApply(op);
+  return WriteLinkStatement(WalOpType::kDisconnect, link_name, from_id,
+                            to_id, at, from_now);
 }
 
 // ---- queries ----

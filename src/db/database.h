@@ -2,10 +2,12 @@
 #define TCOB_DB_DATABASE_H_
 
 #include <atomic>
-#include <functional>
+#include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,16 +63,20 @@ struct DatabaseOptions {
   size_t buffer_pool_pages = 1024;
   /// Store tuning (version index toggle etc.).
   StoreOptions store;
-  /// fdatasync the WAL after every auto-committed statement.
+  /// fdatasync the WAL before any commit (auto-commit statement or
+  /// transaction) is applied and acknowledged.
   bool sync_wal = false;
-  /// Group commit: concurrent committers share one WAL fsync (a leader
-  /// syncs for every committer queued at that moment; see
-  /// WriteAheadLog::SyncBatch). Disable to give every commit its own
-  /// fsync (the benchmark ablation).
+  /// Group commit: the committer at the front of the writer queue leads
+  /// every queued committer whose writes are disjoint from those before
+  /// it through one validate/append/fsync/apply pass (see
+  /// Database::Write), so they share one WAL fsync. Disable to give
+  /// every commit its own pass and fsync, ordered by the writer mutex
+  /// alone (the benchmark ablation).
   bool group_commit = true;
-  /// Optional group-commit batching window: a leader waits up to this
-  /// many microseconds for more committers before issuing its fsync.
-  /// 0 relies on natural batching under an in-flight fsync.
+  /// Optional group-commit batching window: with sync_wal on, a leader
+  /// waits this many microseconds for more committers to queue before
+  /// it takes its group. 0 relies on natural batching: committers that
+  /// queue behind an in-flight fsync form the next group.
   uint64_t group_commit_window_micros = 0;
   /// Worker threads for the read path (molecule materialization fans out
   /// across them). 0 = one per CPU in the opening thread's affinity mask
@@ -151,12 +157,6 @@ struct RecoveryStats {
   /// commit record (the crash hit between a group's enqueue and fsync);
   /// per-transaction atomicity discards them wholesale.
   uint64_t discarded_txn_ops = 0;
-  /// Auto-commit statements the stores rejected at runtime (NotFound,
-  /// InvalidArgument, AlreadyExists after the WAL append): replay skips
-  /// them, as the runtime did, rebuilding the same state. Nonzero only
-  /// when such statements were issued; an auto-commit record replayed
-  /// over its own effect would be rejected and counted here too.
-  uint64_t rejected_ops = 0;
   /// Bytes dropped from the WAL tail (torn final record after a crash).
   uint64_t wal_dropped_tail_bytes = 0;
   /// True when the dropped tail failed its CRC (vs merely truncated).
@@ -173,9 +173,10 @@ struct RecoveryStats {
 ///
 /// A Database owns one directory of files: the catalog, the WAL, and the
 /// files of the chosen storage strategy. All DML is valid-time stamped;
-/// every mutation is WAL-logged before being applied, and Open replays
-/// the log tail after a crash. A Database is shared across threads;
-/// each Session, Cursor or Transaction is used by one thread at a time.
+/// every mutation is validated, WAL-logged (and fsynced under sync_wal)
+/// before being applied, and Open replays the log tail after a crash. A
+/// Database is shared across threads; each Session, Cursor or
+/// Transaction is used by one thread at a time.
 ///
 /// Typical use:
 ///   TCOB_ASSIGN_OR_RETURN(auto db, Database::Open("/data/hr", {}));
@@ -225,7 +226,8 @@ class Database {
   /// transaction.h). Any number may be open concurrently — each reads
   /// at its own snapshot, buffers its writes, and validates
   /// first-committer-wins at Commit (the loser of a write-write race
-  /// gets TxnConflict). Commits group their WAL fsyncs.
+  /// gets TxnConflict). Commits share WAL fsyncs with each other and
+  /// with auto-commit statements (see Write).
   Transaction Begin();
 
   /// Opens a caller's MQL session (see session.h): BEGIN; / COMMIT; /
@@ -238,11 +240,11 @@ class Database {
   /// programmatic); introspection for tests and the degradation paths.
   size_t ActiveTxns() const { return txn_manager_.active_txns(); }
 
-  // ---- DML (auto-commit: WAL append, then apply) ----
+  // ---- DML (auto-commit: one-op commits through Write) ----
   //
   // `from_now` marks a "VALID FROM NOW" stamp: the passed timestamp is
   // provisional and the operation is re-stamped to the clock's NOW
-  // under the writer mutex when it is logged, so a concurrent commit
+  // under the writer mutex when it is committed, so a concurrent commit
   // can never make it land at or before an already-pinned snapshot.
 
   /// Inserts a new atom; unlisted attributes are NULL. Returns its id.
@@ -446,16 +448,72 @@ class Database {
   /// Hands out a fresh atom surrogate (used by Transaction buffering).
   AtomId AllocateAtomId() { return catalog_.NextAtomId(); }
 
-  /// Transaction commit path: first-committer-wins validation against
-  /// commits sequenced after `snapshot_seq`, re-stamping of the VALID
-  /// FROM NOW ops, and a re-check of the re-stamped ops folded in order
-  /// over `tails` (each written entity's tail at the snapshot); then
-  /// logs all `ops` plus a commit record and applies them under the
-  /// writer mutex. The WAL fsync (when configured) happens *outside* the
-  /// mutex via SyncBatch, so concurrent committers share one group fsync.
-  Status CommitOps(uint64_t txn_id, const std::vector<WalOp>& ops,
-                   uint64_t snapshot_seq,
-                   std::map<TxnWriteKey, TimelineTail> tails);
+  /// One committer in the writer queue: an auto-commit statement (one
+  /// op), a transaction (its buffered ops, then a commit record), or an
+  /// ImportDump batch (one atom's history or one link pair's intervals).
+  struct Writer {
+    std::vector<WalOp> ops;
+    /// Nonzero for a transaction: its ops are checked first-committer-
+    /// wins against the commits sequenced after `snapshot_seq`, and a
+    /// commit record follows them in the log.
+    uint64_t txn_id = 0;
+    uint64_t snapshot_seq = 0;
+    /// The tails the rule folds the ops over: a transaction's as its
+    /// snapshot saw them. An entity missing here is read under
+    /// writer_mu_ (an INSERT's fresh id reads nothing).
+    std::map<TxnWriteKey, TimelineTail> tails;
+    /// A partial UPDATE statement's assignments, resolved over the live
+    /// version its tail read returns.
+    const std::vector<std::pair<std::string, Value>>* assignments = nullptr;
+    // Filled by the commit.
+    std::vector<TxnWriteKey> keys;     // one per op
+    std::vector<std::string> records;  // encoded ops, commit record last
+    Status status;
+    bool done = false;
+    std::condition_variable cv;
+  };
+
+  /// Commits `w` through the writer queue and returns its status. The
+  /// front committer leads: after the optional batching window it takes
+  /// every queued committer whose write keys are disjoint from those of
+  /// the committers queued before it, runs CommitGroup for them, and
+  /// wakes each with its own status. Without group commit, and for a
+  /// write-free transaction, there is no queue: a commit is a group of
+  /// its own (or of nothing).
+  Status Write(Writer* w);
+
+  /// One group under writer_mu_: CheckWritable; Validate each member;
+  /// append the survivors' records; one WAL Sync (sync_wal); apply;
+  /// register the commits with txn_manager_. A failed append or fsync
+  /// poisons the database with nothing of the group applied; a failed
+  /// apply fails it hard.
+  void CommitGroup(const std::vector<Writer*>& group);
+
+  /// The per-member step of CommitGroup: first-committer-wins for a
+  /// transaction, then each op is re-stamped (VALID FROM NOW takes the
+  /// group's running clock `*now`), checked with the rule against its
+  /// entity's tail and encoded with the next op_seq (`*seq`). Both
+  /// advance only when the whole member passes.
+  Status Validate(Writer* w, Timestamp* now, uint64_t* seq);
+
+  /// The tail of the entity `op` writes as the newest state has it (one
+  /// point read; an INSERT's fresh id reads nothing); `live` receives an
+  /// atom's live version.
+  Result<TimelineTail> CurrentTail(const WalOp& op,
+                                   std::optional<AtomVersion>* live);
+
+  /// Commits one auto-commit atom statement of `type` and returns the
+  /// atom's id (an INSERT allocates it; `id` is ignored). A partial
+  /// UPDATE passes its `assignments` and no `attrs`.
+  Result<AtomId> WriteAtomStatement(
+      WalOpType type, const std::string& type_name, AtomId id,
+      std::vector<Value> attrs, Timestamp from, bool from_now,
+      const std::vector<std::pair<std::string, Value>>* assignments);
+
+  /// Commits one auto-commit CONNECT or DISCONNECT.
+  Status WriteLinkStatement(WalOpType type, const std::string& link_name,
+                            AtomId from_id, AtomId to_id, Timestamp at,
+                            bool from_now);
 
   /// Transaction::Abort's notification: unregisters the transaction
   /// from conflict tracking and emits the abort trace event.
@@ -497,14 +555,6 @@ class Database {
 
   /// Applies one logical operation to the stores (DML path and replay).
   Status ApplyOp(const WalOp& op);
-
-  /// Stamps the next op_seq onto `op`, appends it to the WAL (syncing if
-  /// configured), then applies it. A WAL failure poisons the database.
-  /// `resolve`, if set, runs under the writer mutex after the final
-  /// valid_from stamp and before the append; it may complete the op
-  /// from current state, and an error from it logs nothing.
-  Status LogAndApply(WalOp op,
-                     const std::function<Status(WalOp*)>& resolve = nullptr);
 
   /// Refuses mutations when the open is read-only or the instance has
   /// degraded (fail-stop after an I/O failure).
@@ -597,6 +647,8 @@ class Database {
   Counter txns_aborted_total_;
   Counter txn_conflicts_total_;
   Histogram query_latency_us_{Histogram::LatencyBucketsUs()};
+  /// Committers per group fsync (group commit on, sync_wal on).
+  Histogram group_commit_size_{{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}};
   /// Global query-memory budget; cap from options_ (0 = unlimited).
   ResourceBudget memory_budget_{options_.memory_budget_bytes};
   /// Admission gate; disabled when options_.max_inflight_queries == 0.
@@ -617,10 +669,15 @@ class Database {
   /// Query-path worker pool; null when options_.parallelism resolves
   /// to 1 (serial execution).
   std::unique_ptr<ThreadPool> query_pool_;
-  /// Serializes every mutation: auto-commit DML, transaction commits
-  /// (validation + append + apply; the fsync escapes it), DDL,
-  /// checkpoints, and maintenance. Reads never take it.
+  /// Serializes every mutation: a commit group (validation, append,
+  /// fsync and apply), DDL, snapshot pins, checkpoints, and
+  /// maintenance. Reads never take it.
   mutable std::mutex writer_mu_;
+  /// Guards the writer queue. Never held while taking writer_mu_.
+  std::mutex queue_mu_;
+  /// Committers waiting for (or in) a group, in arrival order; the
+  /// front one leads.
+  std::deque<Writer*> queue_;
   /// Commit clock, active-transaction registry, and the pruned
   /// write-set log behind first-committer-wins validation.
   TxnManager txn_manager_;

@@ -137,8 +137,10 @@ Status ImportDump(Database* db, const std::string& path) {
   Timestamp clock;
   TCOB_RETURN_NOT_OK(GetVarsint64(&in, &clock));
 
-  // Atom histories: regroup per atom, sort, and replay as logical ops so
-  // WAL, indexes and watermarks are all maintained.
+  // Atom histories: regroup per atom, sort, and commit each atom's
+  // history as one batch of logical ops so WAL, indexes and watermarks
+  // are all maintained. The batch folds the rule over its own ops, so a
+  // re-insert after a gap sees the DELETE that closed the gap.
   uint32_t n_types;
   TCOB_RETURN_NOT_OK(GetVarint32(&in, &n_types));
   for (uint32_t s = 0; s < n_types; ++s) {
@@ -159,39 +161,32 @@ Status ImportDump(Database* db, const std::string& path) {
                 [](const AtomVersion& a, const AtomVersion& b) {
                   return a.valid.begin < b.valid.begin;
                 });
+      Database::Writer batch;
+      auto add = [&](WalOpType type, Timestamp from,
+                     std::vector<Value> attrs) {
+        WalOp& op = batch.ops.emplace_back();
+        op.type = type;
+        op.atom_id = id;
+        op.atom_type = type_id;
+        op.valid_from = from;
+        op.attrs = std::move(attrs);
+      };
       Timestamp prev_end = kMinTimestamp;
       for (size_t i = 0; i < versions.size(); ++i) {
         const AtomVersion& v = versions[i];
-        WalOp op;
-        op.atom_id = id;
-        op.atom_type = type_id;
-        op.attrs = v.attrs;
-        if (i == 0 || v.valid.begin != prev_end) {
-          if (i > 0) {
-            // Gap: the previous version was closed by a delete.
-            WalOp del;
-            del.type = WalOpType::kDeleteAtom;
-            del.atom_id = id;
-            del.atom_type = type_id;
-            del.valid_from = prev_end;
-            TCOB_RETURN_NOT_OK(db->LogAndApply(del));
-          }
-          op.type = WalOpType::kInsertAtom;
-        } else {
-          op.type = WalOpType::kUpdateAtom;
+        if (i > 0 && v.valid.begin != prev_end) {
+          // Gap: the previous version was closed by a delete.
+          add(WalOpType::kDeleteAtom, prev_end, {});
         }
-        op.valid_from = v.valid.begin;
-        TCOB_RETURN_NOT_OK(db->LogAndApply(op));
+        add(i == 0 || v.valid.begin != prev_end ? WalOpType::kInsertAtom
+                                                : WalOpType::kUpdateAtom,
+            v.valid.begin, v.attrs);
         prev_end = v.valid.end;
       }
       if (!versions.back().valid.open_ended()) {
-        WalOp del;
-        del.type = WalOpType::kDeleteAtom;
-        del.atom_id = id;
-        del.atom_type = type_id;
-        del.valid_from = versions.back().valid.end;
-        TCOB_RETURN_NOT_OK(db->LogAndApply(del));
+        add(WalOpType::kDeleteAtom, versions.back().valid.end, {});
       }
+      TCOB_RETURN_NOT_OK(db->Write(&batch));
     }
   }
 
@@ -215,20 +210,20 @@ Status ImportDump(Database* db, const std::string& path) {
     }
     for (auto& [pair, intervals] : by_pair) {
       std::sort(intervals.begin(), intervals.end());
-      for (const Interval& valid : intervals) {
-        WalOp op;
-        op.type = WalOpType::kConnect;
+      Database::Writer batch;
+      auto add = [&](WalOpType type, Timestamp at) {
+        WalOp& op = batch.ops.emplace_back();
+        op.type = type;
         op.link_type = link_id;
         op.from_id = pair.first;
         op.to_id = pair.second;
-        op.valid_from = valid.begin;
-        TCOB_RETURN_NOT_OK(db->LogAndApply(op));
-        if (!valid.open_ended()) {
-          op.type = WalOpType::kDisconnect;
-          op.valid_from = valid.end;
-          TCOB_RETURN_NOT_OK(db->LogAndApply(op));
-        }
+        op.valid_from = at;
+      };
+      for (const Interval& valid : intervals) {
+        add(WalOpType::kConnect, valid.begin);
+        if (!valid.open_ended()) add(WalOpType::kDisconnect, valid.end);
       }
+      TCOB_RETURN_NOT_OK(db->Write(&batch));
     }
   }
 

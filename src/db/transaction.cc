@@ -177,10 +177,12 @@ Status Transaction::BufferLink(WalOpType type, const std::string& link_name,
 
 Status Transaction::Commit() {
   TCOB_RETURN_NOT_OK(CheckUsable());
-  std::map<TxnWriteKey, TimelineTail> tails;
-  for (const auto& [key, w] : written_) tails.emplace(key, w.at_snapshot);
-  Status committed =
-      db_->CommitOps(txn_id_, ops_, snapshot_seq_, std::move(tails));
+  Database::Writer batch;
+  batch.ops = std::move(ops_);
+  batch.txn_id = txn_id_;
+  batch.snapshot_seq = snapshot_seq_;
+  for (const auto& [key, w] : written_) batch.tails.emplace(key, w.at_snapshot);
+  Status committed = db_->Write(&batch);
   active_ = false;
   ops_.clear();
   written_.clear();

@@ -31,14 +31,17 @@ class Database;
 /// commit instant inside Commit's critical section, so a commit can
 /// never land at or before a snapshot pinned while it was buffering.
 ///
-/// Commit runs first-committer-wins validation: if any transaction (or
+/// Commit queues the buffer in the database's writer queue, the one
+/// path auto-commit statements take too (Database::Write). Its group
+/// runs first-committer-wins validation: if any transaction (or
 /// auto-committed statement) that committed after this snapshot wrote
 /// an atom or link pair this transaction also writes, Commit aborts
-/// with TxnConflict and the other writer's effects stand. Otherwise
-/// every operation plus a commit record is appended to the WAL and
-/// applied; durability is one group fsync shared with concurrent
-/// committers (see WriteAheadLog::SyncBatch). Abort discards the
-/// buffer without a trace.
+/// with TxnConflict and the other writer's effects stand. Otherwise the
+/// re-stamped operations are checked with the rule once more, then
+/// appended with a commit record, fsynced (sync_wal; one fsync for the
+/// whole group) and only then applied. A failed append or fsync leaves
+/// the transaction unapplied and the database read-only. Abort
+/// discards the buffer without a trace.
 ///
 /// Reads through the Database during an open transaction see committed
 /// state only; SELECTs a Session runs inside its transaction pin its
@@ -89,8 +92,8 @@ class Transaction {
                     AtomId to_id, Timestamp at, bool from_now = false);
 
   /// Validates against commits since the snapshot (TxnConflict if a
-  /// write-write overlap lost the race), then logs and applies the
-  /// buffered operations atomically. Win or lose, the transaction is
+  /// write-write overlap lost the race), then logs, syncs and applies
+  /// the buffered operations atomically. Win or lose, the transaction is
   /// finished afterwards.
   Status Commit();
 
@@ -111,7 +114,7 @@ class Transaction {
   /// clock (a buffered stamp pulls it past itself), but is *pinned*
   /// against concurrent committers — the definitive stamps of the
   /// NOW-relative operations are assigned at Commit, under the writer
-  /// mutex (see Database::CommitOps).
+  /// mutex (see Database::Validate).
   Timestamp local_now() const { return local_now_; }
 
  private:

@@ -85,11 +85,6 @@ uint64_t TxnManager::Commit(uint64_t txn_id, std::vector<TxnWriteKey> keys) {
   return RecordLocked(std::move(keys));
 }
 
-uint64_t TxnManager::CommitAuto(const TxnWriteKey& key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  return RecordLocked({key});
-}
-
 uint64_t TxnManager::commit_seq() const {
   std::lock_guard<std::mutex> lk(mu_);
   return commit_seq_;

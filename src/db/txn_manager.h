@@ -76,11 +76,9 @@ class TxnManager {
 
   /// Records a successful commit of `keys`, unregisters the
   /// transaction, and prunes. Returns the assigned commit sequence.
+  /// `txn_id` 0 is an auto-committed statement (or an import batch),
+  /// which was never registered.
   uint64_t Commit(uint64_t txn_id, std::vector<TxnWriteKey> keys);
-
-  /// Records an auto-committed statement's single-key write-set (it
-  /// was never registered as an active transaction).
-  uint64_t CommitAuto(const TxnWriteKey& key);
 
   /// The sequence of the newest recorded commit (0 = none yet).
   uint64_t commit_seq() const;

@@ -271,22 +271,58 @@ Status BTree::Put(const Slice& key, uint64_t value) {
 }
 
 Result<PageNo> BTree::FindLeaf(const Slice& key) const {
+  // Parses each internal node's separators in place rather than decoding
+  // whole nodes (point lookups dominate store reads and validated
+  // writes); the leaf's entries are left to the caller.
   PageNo page = root_;
   for (;;) {
-    TCOB_ASSIGN_OR_RETURN(Node node, ReadNode(page));
-    if (node.is_leaf) return page;
-    page = node.children[ChildIndex(node.keys, key)];
+    TCOB_ASSIGN_OR_RETURN(Page * p, pool_->FetchPage(file_, page));
+    PageGuard guard(pool_, p);
+    if (static_cast<PageType>(static_cast<uint8_t>(p->data[0])) !=
+        PageType::kIndex) {
+      return Status::Corruption("page " + std::to_string(page) +
+                                " is not a btree node");
+    }
+    if (p->data[1] != 0) return page;
+    Slice in(p->data + kNodeHeader, DecodeFixed32(p->data + 8));
+    uint32_t n_keys;
+    TCOB_RETURN_NOT_OK(GetVarint32(&in, &n_keys));
+    // n_keys + 1 child pages, then the separators; descend into the
+    // child after every separator <= key (as ChildIndex does).
+    const size_t children_bytes = 4 * (static_cast<size_t>(n_keys) + 1);
+    if (in.size() < children_bytes) {
+      return Status::Corruption("btree node " + std::to_string(page) +
+                                " is truncated");
+    }
+    const char* children = in.data();
+    in.RemovePrefix(children_bytes);
+    uint32_t child = 0;
+    for (; child < n_keys; ++child) {
+      Slice separator;
+      TCOB_RETURN_NOT_OK(GetLengthPrefixed(&in, &separator));
+      if (separator.compare(key) > 0) break;
+    }
+    page = DecodeFixed32(children + 4 * child);
   }
 }
 
 Result<uint64_t> BTree::Get(const Slice& key) const {
   std::shared_lock<std::shared_mutex> lock(latch_);
   TCOB_ASSIGN_OR_RETURN(PageNo leaf_page, FindLeaf(key));
-  TCOB_ASSIGN_OR_RETURN(Node leaf, ReadNode(leaf_page));
-  int pos = LowerBound(leaf, key);
-  if (pos < static_cast<int>(leaf.keys.size()) &&
-      Slice(leaf.keys[pos]) == key) {
-    return leaf.values[pos];
+  TCOB_ASSIGN_OR_RETURN(Page * p, pool_->FetchPage(file_, leaf_page));
+  PageGuard guard(pool_, p);
+  // The leaf's entries are sorted: scan them in place up to `key`.
+  Slice in(p->data + kNodeHeader, DecodeFixed32(p->data + 8));
+  uint32_t n_keys;
+  TCOB_RETURN_NOT_OK(GetVarint32(&in, &n_keys));
+  for (uint32_t i = 0; i < n_keys; ++i) {
+    Slice entry;
+    uint64_t value;
+    TCOB_RETURN_NOT_OK(GetLengthPrefixed(&in, &entry));
+    TCOB_RETURN_NOT_OK(GetVarint64(&in, &value));
+    const int order = entry.compare(key);
+    if (order == 0) return value;
+    if (order > 0) break;
   }
   return Status::NotFound("btree key absent");
 }

@@ -104,9 +104,9 @@ std::string Value::ToString() const {
     case AttrType::kString:
       return "'" + AsString() + "'";
     case AttrType::kTimestamp:
-      return "t" + TimestampToString(AsTime());
+      return std::string("t").append(TimestampToString(AsTime()));
     case AttrType::kId:
-      return "#" + std::to_string(AsId());
+      return std::string("#").append(std::to_string(AsId()));
   }
   return "?";
 }

@@ -108,8 +108,8 @@ struct Instance {
   SimModel model;
   std::map<AtomId, AtomId> id_map;  // sim id -> this instance's db id
 
-  /// Logical ops this instance got logged: acked ones plus rejected
-  /// auto-commit statements; invariant: == db->applied_op_seq().
+  /// Logical ops this instance got logged, all of them acked (a refused
+  /// statement is never logged); invariant: == db->applied_op_seq().
   uint64_t acked = 0;
   bool cut_armed = false;
   CutMode cut_mode = CutMode::kDropUnsynced;
@@ -470,24 +470,21 @@ std::optional<std::string> FailOrCrash(Instance* inst, const Status& s,
 }
 
 /// Checks an auto-commit statement the model rejects: the database must
-/// reject it too, leaving the model unchanged. Such a statement is logged
-/// before the stores refuse it, so it still uses up an op_seq (recovery
-/// skips the record). Any other failure may be a crash in which the
-/// record did or did not reach the log.
+/// reject it too, leaving the model unchanged. A refused statement is
+/// never logged, so it uses up no op_seq: the applied_op_seq() == acked
+/// checks catch one that was. Any other failure may only be a crash,
+/// and nothing of the statement can have reached the log.
 std::optional<std::string> ExpectRejected(Instance* inst, const Status& s,
                                           const char* what) {
   if (s.ok()) {
     return std::string("invalid ") + what + " unexpectedly succeeded";
   }
   if (s.IsNotFound() || s.IsInvalidArgument() || s.IsAlreadyExists()) {
-    ++inst->acked;
     ++inst->rejected_dml;
     return std::nullopt;
   }
-  PendingCommit pending;  // no model ops: durable or not, nothing applies
-  pending.seqs = 1;
   return FailOrCrash(
-      inst, s, &pending,
+      inst, s, nullptr,
       "invalid DML (expected NotFound, InvalidArgument or AlreadyExists)");
 }
 

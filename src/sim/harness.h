@@ -35,7 +35,7 @@ struct InstanceReport {
   uint64_t cuts_fired = 0;
   uint64_t skipped_ops = 0;
   /// Auto-commit DML the model rejected and the database rejected too;
-  /// logged before the stores refused it, so part of acked_dml.
+  /// never logged, so not part of acked_dml.
   uint64_t rejected_dml = 0;
   uint64_t queries_run = 0;
   uint64_t queries_compared = 0;

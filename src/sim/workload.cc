@@ -49,7 +49,7 @@ SimSchema GenerateSchema(Random* rng) {
     uint32_t num_attrs = 1 + static_cast<uint32_t>(rng->Uniform(4));
     for (uint32_t a = 0; a < num_attrs; ++a) {
       SimAttrDef attr;
-      attr.name = "a" + std::to_string(a);
+      attr.name = std::string("a").append(std::to_string(a));
       // Attr 0 is always kInt so every type is predicate-eligible.
       attr.type = a == 0 ? AttrType::kInt : PickAttrType(rng);
       def.attrs.push_back(std::move(attr));

@@ -11,7 +11,8 @@ std::string TimestampToString(Timestamp t) {
 
 std::string Interval::ToString() const {
   if (empty()) return "[empty)";
-  return "[" + TimestampToString(begin) + ", " + TimestampToString(end) + ")";
+  return std::string("[").append(TimestampToString(begin)).append(", ")
+      .append(TimestampToString(end)).append(")");
 }
 
 AllenRelation ClassifyAllen(const Interval& a, const Interval& b) {

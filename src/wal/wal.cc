@@ -1,6 +1,5 @@
 #include "wal/wal.h"
 
-#include <chrono>
 #include <cstring>
 #include <vector>
 
@@ -56,37 +55,6 @@ Status WriteAheadLog::Sync() {
   if (!st.ok()) health_ = st;
   if (st.ok()) syncs_.Increment();
   TraceEmit(trace_, TraceEventType::kWalFsyncEnd);
-  return st;
-}
-
-Status WriteAheadLog::SyncBatch() {
-  std::unique_lock<std::mutex> lk(sync_mu_);
-  if (!group_commit_) {
-    lk.unlock();
-    return Sync();
-  }
-  const uint64_t my_req = ++sync_requests_;
-  while (sync_satisfied_ < my_req && leader_active_) {
-    sync_cv_.wait(lk);
-  }
-  if (sync_satisfied_ >= my_req) return last_batch_status_;
-
-  // Leader: one fsync covers every request registered so far. An
-  // optional window lets late committers join this group instead of
-  // forming the next one.
-  leader_active_ = true;
-  if (batch_window_micros_ > 0) {
-    sync_cv_.wait_for(lk, std::chrono::microseconds(batch_window_micros_));
-  }
-  const uint64_t batch_end = sync_requests_;
-  lk.unlock();
-  Status st = Sync();
-  lk.lock();
-  group_size_.Observe(batch_end - sync_satisfied_);
-  sync_satisfied_ = batch_end;
-  last_batch_status_ = st;
-  leader_active_ = false;
-  sync_cv_.notify_all();
   return st;
 }
 

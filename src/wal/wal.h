@@ -1,7 +1,6 @@
 #ifndef TCOB_WAL_WAL_H_
 #define TCOB_WAL_WAL_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -35,15 +34,11 @@ struct WalReadStats {
 /// unfinished tail). Payload interpretation is the caller's business
 /// (TCOB stores encoded WalOps).
 ///
-/// Thread-safe: every file-touching method takes an internal mutex, so
-/// concurrent committers may append and sync without external locking
-/// (the Database still serializes the append order of a commit batch).
-///
-/// Group commit: SyncBatch elects one caller as leader for all
-/// durability requests registered at that moment; the leader performs a
-/// single fsync for the whole group and every member returns when it
-/// completes. N concurrent committers therefore pay ~1 fsync. Group
-/// sizes are recorded in the `tcob_wal_group_commit_size` histogram.
+/// Thread-safe: every file-touching method takes an internal mutex. The
+/// Database is the only writer: its writer queue appends one group of
+/// commits and issues that group's one Sync under its writer mutex, so
+/// concurrent committers share an fsync without the log coordinating
+/// them (see Database::Write).
 ///
 /// Fail-stop: the first failed Append, Sync, or Truncate poisons the log
 /// — all later mutations return the original error without touching the
@@ -64,30 +59,12 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Appends one framed record (buffered in the OS; call Sync or
-  /// SyncBatch for durability).
+  /// Appends one framed record (buffered in the OS; call Sync for
+  /// durability).
   Status Append(const Slice& payload);
 
   /// Durably persists all appended records with an unconditional fsync.
   Status Sync();
-
-  /// Durability with group commit: registers this caller's request, then
-  /// either leads one fsync covering every registered request or waits
-  /// for the current leader's fsync to cover it. Returns once everything
-  /// appended before the call is durable (or the log is poisoned). With
-  /// group commit disabled this is exactly Sync().
-  Status SyncBatch();
-
-  /// Enables/disables group commit (enabled by default) and sets the
-  /// optional batching window: a leader waits up to `window_micros` for
-  /// more committers to join before issuing its fsync. 0 (the default)
-  /// relies on natural batching — requests arriving during an in-flight
-  /// fsync form the next group.
-  void set_group_commit(bool enabled, uint64_t window_micros = 0) {
-    std::lock_guard<std::mutex> lk(sync_mu_);
-    group_commit_ = enabled;
-    batch_window_micros_ = window_micros;
-  }
 
   /// Replays every intact record from the beginning, in order.
   /// fn returns false to stop early. A torn tail terminates the scan
@@ -105,12 +82,8 @@ class WriteAheadLog {
   /// Number of Append calls since open.
   uint64_t appended_records() const { return appended_.value(); }
 
-  /// Number of completed fsyncs since open (Sync + group-commit leaders).
+  /// Number of completed fsyncs since open.
   uint64_t syncs() const { return syncs_.value(); }
-
-  /// Per-fsync group sizes (how many SyncBatch callers one fsync paid
-  /// for); plain Sync() calls are not recorded.
-  const Histogram& group_commit_size() const { return group_size_; }
 
   /// OK while the log is healthy; the poisoning error afterwards.
   /// Thread-compatible: call from the Database's writer path or when no
@@ -127,7 +100,6 @@ class WriteAheadLog {
                               &appended_bytes_);
     registry->RegisterCounter("tcob_wal_syncs_total", &syncs_);
     registry->RegisterCounter("tcob_wal_truncates_total", &truncates_);
-    registry->RegisterHistogram("tcob_wal_group_commit_size", &group_size_);
     registry->RegisterCounterFn("tcob_wal_size_bytes", [this]() {
       auto r = SizeBytes();
       return r.ok() ? r.value() : 0;
@@ -137,30 +109,17 @@ class WriteAheadLog {
  private:
   explicit WriteAheadLog(std::string path) : path_(std::move(path)) {}
 
-  /// File state (and the poison flag), shared by appenders, the sync
-  /// leader, recovery reads, and truncation.
+  /// File state (and the poison flag), shared by the appender, recovery
+  /// reads, truncation and the metrics' size probe.
   mutable std::mutex mu_;
   std::string path_;
   std::unique_ptr<IoFile> file_;
   uint64_t write_pos_ = 0;
 
-  /// Group-commit coordination. Requests are numbered on arrival; one
-  /// fsync satisfies every request registered before the leader sampled
-  /// the batch end.
-  std::mutex sync_mu_;
-  std::condition_variable sync_cv_;
-  bool group_commit_ = true;
-  uint64_t batch_window_micros_ = 0;
-  bool leader_active_ = false;
-  uint64_t sync_requests_ = 0;   // total SyncBatch arrivals
-  uint64_t sync_satisfied_ = 0;  // arrivals covered by a completed fsync
-  Status last_batch_status_;     // outcome of the latest group fsync
-
   Counter appended_;
   Counter appended_bytes_;
   Counter syncs_;
   Counter truncates_;
-  Histogram group_size_{{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}};
   Status health_;
   TraceRecorder* trace_ = nullptr;
 };

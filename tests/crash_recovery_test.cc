@@ -265,9 +265,9 @@ TEST_P(CrashRecoveryTest, PowerCutDuringCheckpointNeverLosesAckedOps) {
 }
 
 TEST_P(CrashRecoveryTest, RejectedAutoCommitStatementsDoNotBlockReopen) {
-  // Auto-commit DML is logged before the stores validate it, so each
-  // statement below stays in the WAL although it was rejected. Recovery
-  // must skip it the way the runtime did instead of failing Open.
+  // Auto-commit DML is validated before it is logged, so none of the
+  // rejected statements below reaches the WAL, and recovery rebuilds
+  // exactly the history the runtime served.
   struct Case {
     const char* name;
     bool connected;  // DeptEmp dept -> emp open from 10 beforehand
@@ -302,6 +302,7 @@ TEST_P(CrashRecoveryTest, RejectedAutoCommitStatementsDoNotBlockReopen) {
     SCOPED_TRACE(c.name);
     const std::string dir = dir_.path() + "/" + c.name;
     AtomId after = 0;
+    std::string served;
     {
       auto victim = Database::Open(dir, Options());
       ASSERT_TRUE(victim.ok());
@@ -319,7 +320,9 @@ TEST_P(CrashRecoveryTest, RejectedAutoCommitStatementsDoNotBlockReopen) {
         Run(leaked, "CONNECT DeptEmp FROM " + dept + " TO " + emp +
                         " VALID FROM 10");
       }
+      const uint64_t appended = leaked->wal()->appended_records();
       auto rejected = leaked->Execute(c.rejected(dept, emp));
+      EXPECT_EQ(leaked->wal()->appended_records(), appended);
       ASSERT_FALSE(rejected.ok());
       const Status& s = rejected.status();
       EXPECT_TRUE(s.IsNotFound() || s.IsInvalidArgument() ||
@@ -330,6 +333,7 @@ TEST_P(CrashRecoveryTest, RejectedAutoCommitStatementsDoNotBlockReopen) {
                               "VALID FROM 30")
                   .value()
                   .inserted_id;
+      served = leaked->Dump().value();
       // Leaked: no flush, no checkpoint; the WAL holds every statement.
     }
     auto recovered = Database::Open(dir, Options());
@@ -338,7 +342,7 @@ TEST_P(CrashRecoveryTest, RejectedAutoCommitStatementsDoNotBlockReopen) {
       continue;
     }
     Database* db = recovered.value().get();
-    EXPECT_EQ(db->recovery_stats().rejected_ops, 1u);
+    EXPECT_EQ(db->Dump().value(), served);
     EXPECT_TRUE(db->VerifyIntegrity().ok());
     const AtomTypeDef* emp_type =
         db->catalog().GetAtomTypeByName("Emp").value();

@@ -390,6 +390,67 @@ TEST_P(FaultInjectionTest, DegradedReadOnlyModeServesReadsAndRecovers) {
             1u);
 }
 
+TEST_P(FaultInjectionTest, FailedGroupFsyncLeavesTransactionUnapplied) {
+  // The transaction side of the fsync contract: a commit is applied only
+  // after its group fsync succeeded. When that fsync fails, read-only
+  // mode serves the acknowledged history alone, and neither TryRecover's
+  // checkpoint nor a reopen makes the failed commit durable.
+  FaultInjectingIoEnv victim_env;
+  FaultInjectingIoEnv replica_env;
+  auto victim = Populate(&victim_env);
+  ASSERT_NE(victim, nullptr);
+  auto replica_opened =
+      Database::Open(dir_.path() + "/replica", Options(&replica_env));
+  ASSERT_TRUE(replica_opened.ok()) << replica_opened.status().ToString();
+  std::unique_ptr<Database> replica = std::move(replica_opened.value());
+  ASSERT_TRUE(replica->OpenSession().ExecuteScript(kSetup).ok());
+
+  {
+    Session session = victim->OpenSession();
+    ASSERT_TRUE(session.Execute("BEGIN").ok());
+    ASSERT_TRUE(
+        session.Execute("UPDATE ATOM Emp 2 SET salary=99 VALID FROM 20").ok());
+    victim_env.FailSyncAt(victim_env.syncs() + 1);
+    auto failed = session.Execute("COMMIT");
+    ASSERT_FALSE(failed.ok());
+    EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
+  }
+  EXPECT_STREQ(HealthStateName(victim->health_state()), "read-only");
+
+  // The nine queries of DegradedReadOnlyModeServesReadsAndRecovers: the
+  // victim must match the replica, which never saw the transaction.
+  const char* const kBattery[] = {
+      "SELECT ALL FROM DeptMol VALID AT 15",
+      "SELECT Emp.name FROM DeptMol VALID AT 15",
+      "SELECT ALL FROM DeptMol VALID IN [10, 30)",
+      "SELECT Emp.salary FROM DeptMol HISTORY",
+      "SELECT COUNT(*) FROM DeptMol VALID AT 15",
+      "SELECT COUNT(*), AVG(Emp.salary) FROM DeptMol GROUP BY ROOT "
+      "VALID AT 15",
+      "SELECT Emp.name FROM DeptMol WHERE Emp.salary > 5 VALID AT 15",
+      "SELECT Emp.name FROM DeptMol WHERE Emp.salary = 10 VALID AT 15",
+      "SELECT ALL FROM DeptMol HISTORY",
+  };
+  for (const char* q : kBattery) {
+    auto got = victim->Execute(q);
+    auto want = replica->Execute(q);
+    ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << q << ": " << want.status().ToString();
+    EXPECT_EQ(Render(got.value()), Render(want.value())) << q;
+  }
+
+  const std::string salary_99 =
+      "SELECT Emp.name FROM DeptMol WHERE Emp.salary = 99 VALID AT 25";
+  EXPECT_EQ(Rows(victim.get(), salary_99), 0u);
+  Status recovered = victim->TryRecover();
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  EXPECT_EQ(Rows(victim.get(), salary_99), 0u);
+  victim.reset();
+  auto reopened = Database::Open(db_dir(), Options(&victim_env));
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(Rows(reopened.value().get(), salary_99), 0u);
+}
+
 TEST_P(FaultInjectionTest, ApplyFailureAfterLoggingEntersFailedMode) {
   // A read error *during apply*, after the record is durably in the WAL,
   // means the in-memory image no longer matches what recovery will
@@ -399,14 +460,23 @@ TEST_P(FaultInjectionTest, ApplyFailureAfterLoggingEntersFailedMode) {
   {
     auto db = Populate(&env);
     ASSERT_NE(db, nullptr);
+    // The index gives the DELETE's apply a read no validation makes.
+    ASSERT_TRUE(db->Execute("CREATE INDEX EmpSalary ON Emp (salary)").ok());
     // Clean close checkpoints, so the reopen below starts cold.
   }
   auto reopened = Database::Open(db_dir(), Options(&env));
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   std::unique_ptr<Database> db = std::move(reopened.value());
 
-  // DELETE is log-then-apply with no preread: the WAL append sees only
-  // writes/syncs, then the apply's first cold-cache heap read fails.
+  // A DELETE reads Emp 2's tail to validate it before anything is
+  // logged. A refused DELETE makes that same read, so afterwards the
+  // tail's pages are cached, and the next disk read is one the apply
+  // makes after the record is logged (at the latest, the cold index's).
+  const uint64_t appended = db->wal()->appended_records();
+  auto refused = db->Execute("DELETE ATOM Emp 2 VALID FROM 5");
+  ASSERT_TRUE(refused.status().IsInvalidArgument())
+      << refused.status().ToString();
+  ASSERT_EQ(db->wal()->appended_records(), appended);
   env.FailReadAt(env.reads() + 1);
   auto failed = db->Execute("DELETE ATOM Emp 2 VALID FROM 20");
   ASSERT_FALSE(failed.ok());

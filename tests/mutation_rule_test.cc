@@ -1,7 +1,8 @@
 // One valid-time mutation rule: an invalid INSERT, UPDATE, DELETE,
 // CONNECT or DISCONNECT is refused with the same status class and the
 // same message whether it auto-commits or is buffered into a
-// transaction, on every storage strategy.
+// transaction, on every storage strategy, and the auto-commit refusal
+// leaves no WAL record.
 
 #include <map>
 #include <string>
@@ -110,7 +111,10 @@ TEST(MutationRuleTest, SameRefusalOnEveryPathAndStrategy) {
         EXPECT_FALSE(r.ok()) << c.mql;
         return Refusal{r.status().code(), r.status().message()};
       };
+      // A refused statement is never logged.
+      const uint64_t appended = (*db)->wal()->appended_records();
       cells[name + " auto"].push_back(refusal(session.Execute(c.mql)));
+      EXPECT_EQ((*db)->wal()->appended_records(), appended) << c.mql;
       ASSERT_TRUE(session.Execute("BEGIN;").ok());
       cells[name + " txn"].push_back(refusal(session.Execute(c.mql)));
       ASSERT_TRUE(session.Execute("ABORT;").ok());

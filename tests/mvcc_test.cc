@@ -4,6 +4,8 @@
 // as the TSan target for the whole transaction path.
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -343,8 +345,10 @@ TEST_P(MvccTest, ConcurrentDisjointCommitStorm) {
         Transaction txn = db_->Begin();
         auto id = txn.InsertAtom(
             "Emp",
-            {{"name", Value::String("w" + std::to_string(t) + "_" +
-                                    std::to_string(i))},
+            {{"name", Value::String(std::string("w")
+                                        .append(std::to_string(t))
+                                        .append("_")
+                                        .append(std::to_string(i)))},
              {"salary", Value::Int(t * 100 + i)}},
             10);
         if (!id.ok() || !txn.Commit().ok()) failures.fetch_add(1);
@@ -501,41 +505,55 @@ TEST_P(MvccTest, NowThenExplicitReorderAbortsCleanly) {
 // latest write, or that write is lost in the next version.
 TEST_P(MvccTest, ConcurrentAutoCommitUpdatesKeepUnchangedAttributes) {
   constexpr int kUpdates = 300;
-  ASSERT_TRUE(db_->CreateAtomType("Pair", {{"a", AttrType::kInt},
-                                           {"b", AttrType::kInt}})
-                  .ok());
-  AtomId id = db_->InsertAtom("Pair",
-                              {{"a", Value::Int(0)}, {"b", Value::Int(0)}},
-                              10)
-                  .value();
-  std::atomic<int> failures{0};
-  auto writer = [&](const std::string& attr) {
-    for (int i = 1; i <= kUpdates; ++i) {
-      Status s = db_->UpdateAtom("Pair", id, {{attr, Value::Int(i)}},
-                                 db_->Now(), /*from_now=*/true);
-      if (!s.ok()) failures.fetch_add(1);
+  // Without sync_wal every statement commits alone; with it, statements
+  // queue behind an in-flight group fsync, and the two writers' updates
+  // of the one atom go to consecutive groups.
+  for (bool sync_wal : {false, true}) {
+    SCOPED_TRACE(sync_wal ? "sync_wal" : "no sync_wal");
+    DatabaseOptions options;
+    options.strategy = GetParam();
+    options.sync_wal = sync_wal;
+    auto opened = Database::Open(
+        dir_.path() + (sync_wal ? "/synced" : "/unsynced"), options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    Database* db = opened.value().get();
+    ASSERT_TRUE(db->CreateAtomType("Pair", {{"a", AttrType::kInt},
+                                            {"b", AttrType::kInt}})
+                    .ok());
+    AtomId id = db->InsertAtom("Pair",
+                               {{"a", Value::Int(0)}, {"b", Value::Int(0)}},
+                               10)
+                    .value();
+    std::atomic<int> failures{0};
+    auto writer = [&](const std::string& attr) {
+      for (int i = 1; i <= kUpdates; ++i) {
+        Status s = db->UpdateAtom("Pair", id, {{attr, Value::Int(i)}},
+                                  db->Now(), /*from_now=*/true);
+        if (!s.ok()) failures.fetch_add(1);
+      }
+    };
+    std::thread ta(writer, "a"), tb(writer, "b");
+    ta.join();
+    tb.join();
+    EXPECT_EQ(failures.load(), 0);
+    const AtomTypeDef* type = db->catalog().GetAtomTypeByName("Pair").value();
+    auto versions = db->store()->GetVersions(*type, id, Interval::All());
+    ASSERT_TRUE(versions.ok()) << versions.status().ToString();
+    ASSERT_EQ(versions.value().size(), static_cast<size_t>(2 * kUpdates + 1));
+    int regressions = 0;
+    for (size_t i = 1; i < versions.value().size(); ++i) {
+      const auto& prev = versions.value()[i - 1].attrs;
+      const auto& cur = versions.value()[i].attrs;
+      if (cur[0].AsInt() < prev[0].AsInt() ||
+          cur[1].AsInt() < prev[1].AsInt()) {
+        ++regressions;
+      }
     }
-  };
-  std::thread ta(writer, "a"), tb(writer, "b");
-  ta.join();
-  tb.join();
-  EXPECT_EQ(failures.load(), 0);
-  const AtomTypeDef* type = db_->catalog().GetAtomTypeByName("Pair").value();
-  auto versions = db_->store()->GetVersions(*type, id, Interval::All());
-  ASSERT_TRUE(versions.ok()) << versions.status().ToString();
-  ASSERT_EQ(versions.value().size(), static_cast<size_t>(2 * kUpdates + 1));
-  int regressions = 0;
-  for (size_t i = 1; i < versions.value().size(); ++i) {
-    const auto& prev = versions.value()[i - 1].attrs;
-    const auto& cur = versions.value()[i].attrs;
-    if (cur[0].AsInt() < prev[0].AsInt() || cur[1].AsInt() < prev[1].AsInt()) {
-      ++regressions;
-    }
+    EXPECT_EQ(regressions, 0);
+    const auto& last = versions.value().back().attrs;
+    EXPECT_EQ(last[0].AsInt(), kUpdates);
+    EXPECT_EQ(last[1].AsInt(), kUpdates);
   }
-  EXPECT_EQ(regressions, 0);
-  const auto& last = versions.value().back().attrs;
-  EXPECT_EQ(last[0].AsInt(), kUpdates);
-  EXPECT_EQ(last[1].AsInt(), kUpdates);
 }
 
 // Vacuum keeps every version an open transaction's snapshot can see:
@@ -611,6 +629,51 @@ class GroupCommitTest : public ::testing::Test {
     EXPECT_EQ(failures.load(), 0);
   }
 
+  /// Two threads released together: one commits through `a`, the other
+  /// through `b`.
+  void RunTogether(const std::function<Status()>& a,
+                   const std::function<Status()>& b) {
+    std::atomic<int> ready{0};
+    std::atomic<int> failures{0};
+    auto run = [&](const std::function<Status()>& commit) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      Status s = commit();
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      if (!s.ok()) failures.fetch_add(1);
+    };
+    std::thread ta(run, a);
+    std::thread tb(run, b);
+    ta.join();
+    tb.join();
+    EXPECT_EQ(failures.load(), 0);
+  }
+
+  /// An auto-commit insert of one Emp named `name` at valid time 10.
+  std::function<Status()> InsertStatement(const char* name) {
+    return [this, name] {
+      return db_->InsertAtom("Emp",
+                             {{"name", Value::String(name)},
+                              {"salary", Value::Int(1)}},
+                             10)
+          .status();
+    };
+  }
+
+  /// Runs `commits`, which must share exactly one fsync: one group of
+  /// two committers in the group-size histogram.
+  void ExpectOneSharedFsync(const std::function<void()>& commits) {
+    const uint64_t syncs_before = db_->wal()->syncs();
+    auto hist_before =
+        db_->MetricsSnapshot().histograms.at("tcob_wal_group_commit_size");
+    commits();
+    EXPECT_EQ(db_->wal()->syncs() - syncs_before, 1u);
+    auto hist_after =
+        db_->MetricsSnapshot().histograms.at("tcob_wal_group_commit_size");
+    EXPECT_EQ(hist_after.count - hist_before.count, 1u);
+    EXPECT_EQ(hist_after.sum - hist_before.sum, 2u);
+  }
+
   TempDir dir_;
   std::unique_ptr<Database> db_;
 };
@@ -632,6 +695,35 @@ TEST_F(GroupCommitTest, TwoCommittersShareOneFsync) {
   EXPECT_EQ(hist_after.count - hist_before.count, 1u);
   EXPECT_EQ(hist_after.sum - hist_before.sum, 2u);
   EXPECT_EQ(db_->MetricsSnapshot().CounterOr("tcob_txns_committed_total", 0), 2u);
+}
+
+// Auto-commit statements take the same writer queue as transactions:
+// two concurrent statements share one fsync.
+TEST_F(GroupCommitTest, AutoCommitStatementsShareOneFsync) {
+  Open(/*group_commit=*/true, /*window_micros=*/200000);
+  ExpectOneSharedFsync(
+      [&] { RunTogether(InsertStatement("a"), InsertStatement("b")); });
+}
+
+// A statement and a transaction share one fsync too. The statement
+// queues first and leads; the transaction commits 50 ms later, inside
+// the leader's 200 ms window.
+TEST_F(GroupCommitTest, StatementAndTransactionShareOneFsync) {
+  Open(/*group_commit=*/true, /*window_micros=*/200000);
+  Transaction txn = db_->Begin();
+  ASSERT_TRUE(txn.InsertAtom("Emp",
+                             {{"name", Value::String("t")},
+                              {"salary", Value::Int(2)}},
+                             10)
+                  .ok());
+  ExpectOneSharedFsync([&] {
+    RunTogether(InsertStatement("s"), [&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      return txn.Commit();
+    });
+  });
+  EXPECT_EQ(db_->MetricsSnapshot().CounterOr("tcob_txns_committed_total", 0),
+            1u);
 }
 
 // Ablation: with group commit off every committer pays its own fsync.
@@ -659,7 +751,8 @@ TEST_F(GroupCommitTest, GroupCommittedTxnsSurviveReopen) {
     threads.emplace_back([&, t] {
       Transaction txn = db_->Begin();
       if (!txn.InsertAtom("Emp",
-                          {{"name", Value::String("t" + std::to_string(t))},
+                          {{"name", Value::String(std::string("t").append(
+                                        std::to_string(t)))},
                            {"salary", Value::Int(t)}},
                           10)
                .ok() ||

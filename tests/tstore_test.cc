@@ -173,7 +173,9 @@ TEST_P(TStoreTest, GetVersionsWindowFilters) {
 TEST_P(TStoreTest, ScanAsOfStreamsAllLiveAtoms) {
   for (AtomId id = 1; id <= 20; ++id) {
     ASSERT_TRUE(
-        store_->Insert(type_, id, Attrs("e" + std::to_string(id), 0), 10)
+        store_->Insert(type_, id,
+                       Attrs(std::string("e").append(std::to_string(id)), 0),
+                       10)
             .ok());
   }
   // Kill the even atoms at 50.
